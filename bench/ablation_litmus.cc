@@ -1,22 +1,21 @@
 /**
  * @file
  * The litmus CI gate: full-corpus seed-matrix sweeps under both memory
- * models and both production schedulers, checked against the reference
+ * models on the event-driven scheduler, checked against the reference
  * enumerator; coverage obligations; a scheduler-equivalence cross
  * check; the negative control (TSO with the evict-kill disabled MUST
  * be caught, with a complete repro bundle); and a fuzz smoke campaign.
  *
  * Usage: ablation_litmus [--ci] [runs] [seed0] [out.json]
  *
- *   runs   seeds per (entry, model, scheduler) cell   (default 60)
+ *   runs   seeds per (entry, model) cell              (default 60)
  *   seed0  first seed of the matrix                   (default 1)
  *
  * Gates (each reported in the JSON config block and on stdout):
  *   g1 clean        zero forbidden outcomes and zero hangs everywhere
  *   g2 coverage     every per-entry mustObserve obligation reached
- *   g3 sched_equiv  per-cell outcome histograms identical under
- *                   EventDriven and Compiled, plus an exact per-seed
- *                   spot check under Exhaustive and Parallel
+ *   g3 sched_equiv  exact per-seed spot check: Exhaustive and Parallel
+ *                   reproduce the EventDriven outcome
  *   g4 negative     MP under TSO with tsoEvictKill=false yields a
  *                   forbidden outcome within the seed matrix and the
  *                   repro bundle written for it is complete
@@ -44,17 +43,7 @@ using cmd::SchedulerKind;
 
 namespace {
 
-const char *
-schedName(SchedulerKind k)
-{
-    switch (k) {
-    case SchedulerKind::Exhaustive: return "exhaustive";
-    case SchedulerKind::EventDriven: return "event";
-    case SchedulerKind::Parallel: return "parallel";
-    case SchedulerKind::Compiled: return "compiled";
-    }
-    return "?";
-}
+constexpr SchedulerKind kMatrixSched = SchedulerKind::EventDriven;
 
 uint64_t
 nowNs()
@@ -78,7 +67,6 @@ fileHas(const std::string &path, const char *needle)
 struct Cell {
     const CorpusEntry *entry = nullptr;
     MemModel model = MemModel::Tso;
-    SchedulerKind sched = SchedulerKind::EventDriven;
     SweepResult sw;
     uint64_t wallNs = 0;
 };
@@ -106,45 +94,37 @@ main(int argc, char **argv)
     if (pos.size() > 2)
         outPath = pos[2];
 
-    const SchedulerKind kMatrixScheds[] = {SchedulerKind::EventDriven,
-                                           SchedulerKind::Compiled};
-
-    // ---- Main matrix: corpus x models x schedulers x seeds ----------
-    std::printf("litmus gate: %zu programs x 2 models x 2 schedulers x "
-                "%u seeds (seed0=%" PRIu64 ")\n",
-                corpus().size(), runs, seed0);
-    std::printf("%-12s %-4s %-10s %9s %8s %9s %6s %6s\n", "test", "mdl",
-                "sched", "outcomes", "allowed", "forbidden", "hangs",
-                "cov");
+    // ---- Main matrix: corpus x models x seeds ----------------------
+    std::printf("litmus gate: %zu programs x 2 models x %u seeds under %s "
+                "(seed0=%" PRIu64 ")\n",
+                corpus().size(), runs, cmd::toString(kMatrixSched), seed0);
+    std::printf("%-12s %-4s %9s %8s %9s %6s %6s\n", "test", "mdl",
+                "outcomes", "allowed", "forbidden", "hangs", "cov");
 
     std::vector<Cell> cells;
     bool g1Clean = true;
     for (const CorpusEntry &e : corpus()) {
         for (MemModel m : {MemModel::Tso, MemModel::Wmm}) {
-            for (SchedulerKind sk : kMatrixScheds) {
-                RunConfig cfg;
-                cfg.model = m;
-                cfg.sched = sk;
-                uint64_t t0 = nowNs();
-                Cell c;
-                c.entry = &e;
-                c.model = m;
-                c.sched = sk;
-                c.sw = sweep(e.prog, cfg, seed0, runs);
-                c.wallNs = nowNs() - t0;
-                g1Clean &= c.sw.clean();
-                std::printf("%-12s %-4s %-10s %9zu %8zu %9zu %6u %5.0f%%%s\n",
-                            e.prog.name.c_str(), toString(m), schedName(sk),
-                            c.sw.hist.size(), c.sw.allowed.size(),
-                            c.sw.forbidden.size(), c.sw.hangs,
-                            100.0 * c.sw.coverage(),
-                            c.sw.clean() ? "" : "  <-- VIOLATION");
-                cells.push_back(std::move(c));
-            }
+            RunConfig cfg;
+            cfg.model = m;
+            cfg.sched = kMatrixSched;
+            uint64_t t0 = nowNs();
+            Cell c;
+            c.entry = &e;
+            c.model = m;
+            c.sw = sweep(e.prog, cfg, seed0, runs);
+            c.wallNs = nowNs() - t0;
+            g1Clean &= c.sw.clean();
+            std::printf("%-12s %-4s %9zu %8zu %9zu %6u %5.0f%%%s\n",
+                        e.prog.name.c_str(), toString(m), c.sw.hist.size(),
+                        c.sw.allowed.size(), c.sw.forbidden.size(),
+                        c.sw.hangs, 100.0 * c.sw.coverage(),
+                        c.sw.clean() ? "" : "  <-- VIOLATION");
+            cells.push_back(std::move(c));
         }
     }
 
-    // ---- g2: coverage obligations (per entry x model, any sched) ----
+    // ---- g2: coverage obligations (per entry x model) --------------
     bool g2Coverage = true;
     uint32_t obligations = 0, obligationsMet = 0;
     for (const CorpusEntry &e : corpus()) {
@@ -171,20 +151,9 @@ main(int argc, char **argv)
 
     // ---- g3: scheduler equivalence --------------------------------
     // The kernel guarantees identical cycle-level behavior across
-    // schedulers, so per-cell histograms must match exactly between
-    // EventDriven and Compiled...
+    // schedulers: an exact per-seed spot check under the other two
+    // (too slow for the full matrix).
     bool g3Sched = true;
-    for (size_t i = 0; i + 1 < cells.size(); i += 2) {
-        if (cells[i].sw.hist != cells[i + 1].sw.hist) {
-            g3Sched = false;
-            std::printf("scheduler DIVERGENCE: %s/%s histograms differ "
-                        "event vs compiled\n",
-                        cells[i].entry->prog.name.c_str(),
-                        toString(cells[i].model));
-        }
-    }
-    // ...plus an exact per-seed spot check under the two debug
-    // schedulers (too slow for the full matrix).
     for (const char *name : {"SB", "MP"}) {
         const CorpusEntry &e = corpusEntry(name);
         for (MemModel m : {MemModel::Tso, MemModel::Wmm}) {
@@ -192,7 +161,7 @@ main(int argc, char **argv)
                 RunConfig cfg;
                 cfg.model = m;
                 cfg.seed = s;
-                cfg.sched = SchedulerKind::EventDriven;
+                cfg.sched = kMatrixSched;
                 RunResult ref = runOnce(e.prog, cfg);
                 for (SchedulerKind sk :
                      {SchedulerKind::Exhaustive, SchedulerKind::Parallel}) {
@@ -201,8 +170,9 @@ main(int argc, char **argv)
                     if (r.outcome != ref.outcome || r.hang != ref.hang) {
                         g3Sched = false;
                         std::printf("scheduler DIVERGENCE: %s/%s seed "
-                                    "%" PRIu64 " %s != event\n",
-                                    name, toString(m), s, schedName(sk));
+                                    "%" PRIu64 " %s != %s\n",
+                                    name, toString(m), s, cmd::toString(sk),
+                                    cmd::toString(kMatrixSched));
                     }
                 }
             }
@@ -261,7 +231,7 @@ main(int argc, char **argv)
     bench::JsonObject config;
     config.put("runs_per_cell", runs)
         .put("seed0", seed0)
-        .put("schedulers_matrix", "event,compiled")
+        .put("schedulers_matrix", cmd::toString(kMatrixSched))
         .put("schedulers_spot", "exhaustive,parallel")
         .put("obligations", obligations)
         .put("obligations_met", obligationsMet)
@@ -279,7 +249,7 @@ main(int argc, char **argv)
         bench::JsonObject row;
         row.put("test", c.entry->prog.name)
             .put("model", toString(c.model))
-            .put("scheduler", schedName(c.sched))
+            .put("scheduler", cmd::toString(kMatrixSched))
             .put("runs", runs)
             .put("outcomes_seen", uint64_t(c.sw.hist.size()))
             .put("outcomes_allowed", uint64_t(c.sw.allowed.size()))

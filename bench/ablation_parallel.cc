@@ -5,7 +5,6 @@
  *
  *   - exhaustive      (reference sequential scheduler)
  *   - event-driven    (PR 1's sensitivity-tracked sequential walk)
- *   - compiled        (elaboration-time static schedule, PR 7)
  *   - parallel        (domain-partitioned execution, PR 2) swept over
  *                     lookahead {1, 2, 4, 8, fifo-min} x threads
  *                     {1, 2, 4} — the multi-cycle lookahead PDES
@@ -168,7 +167,6 @@ main(int argc, char **argv)
     std::vector<Mode> modes = {
         {"exhaustive", cmd::SchedulerKind::Exhaustive, 0, 0},
         {"event", cmd::SchedulerKind::EventDriven, 0, 0},
-        {"compiled", cmd::SchedulerKind::Compiled, 0, 0},
     };
     // The PDES sweep: lookahead cap {1, 2, 4, 8, fifo-min(=0)} x
     // threads {1, 2, 4}. "parallel-N" (no suffix) is the fifo-min

@@ -1,11 +1,8 @@
 /**
  * @file
  * CMD-kernel scheduler ablation: exhaustive (attempt every rule every
- * cycle), event-driven (sensitivity tracking + sleep/wake), compiled
- * (elaboration-time static schedule with profile-guided fast-path
- * promotion) and compiled-static (every rule compiled fast, no
- * profiling) side by side, on workloads spanning the idleness
- * spectrum:
+ * cycle) and event-driven (sensitivity tracking + sleep/wake) side by
+ * side, on workloads spanning the idleness spectrum:
  *
  *  - idle_pipeline: a deep FIFO pipeline fed one token every 128
  *    cycles, so a couple of stages carry tokens while ~190 sit empty
@@ -14,9 +11,8 @@
  *  - idle_guards: 64 permanently not-ready rules — the pure
  *    sleep-forever case.
  *  - busy_pipeline / busy_deep: the pipeline saturated with tokens at
- *    two depths, so no rule can sleep — where the compiled fast path
- *    (fused dispatch, no sensitivity capture, CM-inert method-call
- *    elision, fused commit) earns its keep over both dynamic modes.
+ *    two depths, so no rule can sleep and event-driven pays its
+ *    sensitivity capture for nothing.
  *  - busy_chain: a saturated dual-lane pipeline whose move rules
  *    advance both lanes per firing — the widest-rule shape.
  *
@@ -25,24 +21,14 @@
  * search, credit check, perf counter) that the paper's fig 15-20
  * stage rules make on every firing besides their fifo moves. A bare
  * fifo shuffle under-represents that interface-method traffic, and
- * per-method-call enforcement is exactly the tax the schedulers
- * differ on.
+ * per-method-call enforcement is a tax every scheduler pays.
  *
  * Every run is checked for architectural equivalence (snapshot
- * digest) across all four modes, and results are written both as a
- * human-readable table and as machine-readable BENCH_scheduler.json
- * so the perf trajectory can be tracked across PRs.
- *
- * --ci additionally enforces the scheduler-regression gates:
- *   (1) the compiled scheduler must not be slower than the best
- *       dynamic mode (exhaustive or event-driven) on any workload;
- *   (2) compiled vs exhaustive must reach >= 2x geomean over the
- *       busy-pipeline suite;
- *   (3) the BENCH_scheduler.json must actually have been written —
- *       a CI run whose numbers cannot be archived is an error.
- * Close calls in (1) and (2) are re-measured up to twice before
- * failing, so wall-clock noise on a loaded runner does not flip the
- * gates.
+ * digest) across both modes — a divergence exits non-zero — and
+ * results are written both as a human-readable table and as
+ * machine-readable BENCH_scheduler.json so the perf trajectory can be
+ * tracked across changes. --ci additionally fails the run when
+ * BENCH_scheduler.json could not be written.
  */
 #include <algorithm>
 #include <chrono>
@@ -82,35 +68,15 @@ digest(const std::vector<uint8_t> &bytes)
     return h;
 }
 
-/** The four measured modes (compiled twice: profiled and static). */
-enum class Mode { Exhaustive, EventDriven, Compiled, CompiledStatic };
+/** The measured modes, with their BENCH_scheduler.json key prefixes. */
+struct Mode {
+    const char *name;
+    SchedulerKind kind;
+};
 
-constexpr Mode kModes[] = {Mode::Exhaustive, Mode::EventDriven,
-                           Mode::Compiled, Mode::CompiledStatic};
-
-const char *
-modeName(Mode m)
-{
-    switch (m) {
-    case Mode::Exhaustive:
-        return "exhaustive";
-    case Mode::EventDriven:
-        return "event";
-    case Mode::Compiled:
-        return "compiled";
-    case Mode::CompiledStatic:
-        return "compiled_static";
-    }
-    return "?";
-}
-
-SchedulerKind
-modeKind(Mode m)
-{
-    return m == Mode::Exhaustive    ? SchedulerKind::Exhaustive
-           : m == Mode::EventDriven ? SchedulerKind::EventDriven
-                                    : SchedulerKind::Compiled;
-}
+constexpr Mode kModes[] = {{"exhaustive", SchedulerKind::Exhaustive},
+                           {"event", SchedulerKind::EventDriven}};
+constexpr size_t kExhaustive = 0, kEvent = 1;
 
 /**
  * Per-stage control block: the interface-method traffic a processor
@@ -120,7 +86,7 @@ modeKind(Mode m)
  * counter — the method-call mix of the paper's stage rules (fetch
  * consults the epoch and the BTB, execute searches the scoreboard and
  * the bypass network, ...). Every block is private to one stage rule,
- * so all methods are conflict-free and the rule stays CM-inert.
+ * so all its methods are conflict-free.
  */
 struct StageCtl : Module {
     Method &epochM = method("epoch");
@@ -349,19 +315,16 @@ struct RunStats {
     uint64_t stateDigest = 0;
     uint64_t attempts = 0;
     uint64_t sleepSkips = 0;
-    uint64_t fastRules = 0;
 };
 
 template <typename MakeDesign>
 RunStats
-measure(MakeDesign make, Mode mode, int reps)
+measure(MakeDesign make, SchedulerKind kind, int reps)
 {
     RunStats best;
     for (int rep = 0; rep < reps; rep++) {
-        auto d = make(modeKind(mode));
+        auto d = make(kind);
         Kernel &k = d->k;
-        if (mode == Mode::CompiledStatic)
-            k.setCompiledProfile(0);
         auto t0 = std::chrono::steady_clock::now();
         k.run(gCycles);
         auto t1 = std::chrono::steady_clock::now();
@@ -372,7 +335,6 @@ measure(MakeDesign make, Mode mode, int reps)
             best.stateDigest = digest(k.snapshot());
             best.attempts = k.ruleAttemptCount();
             best.sleepSkips = k.sleepSkipCount();
-            best.fastRules = k.compiledFastRuleCount();
         }
     }
     return best;
@@ -380,45 +342,18 @@ measure(MakeDesign make, Mode mode, int reps)
 
 struct Workload {
     std::string name;
-    bool busy = false; ///< member of the busy-suite geomean gate
-    std::function<RunStats(Mode, int)> run;
-    RunStats m[4]; ///< indexed in kModes order
+    std::function<RunStats(SchedulerKind, int)> run;
+    RunStats m[std::size(kModes)]; ///< indexed in kModes order
 };
-
-const RunStats &
-stat(const Workload &w, Mode mode)
-{
-    return w.m[size_t(mode)];
-}
 
 bool
 digestsMatch(const Workload &w)
 {
-    for (Mode mode : kModes) {
-        if (stat(w, mode).stateDigest != stat(w, Mode::Exhaustive).stateDigest)
+    for (const RunStats &s : w.m) {
+        if (s.stateDigest != w.m[kExhaustive].stateDigest)
             return false;
     }
     return true;
-}
-
-double
-bestDynamicCps(const Workload &w)
-{
-    return std::max(stat(w, Mode::Exhaustive).cps,
-                    stat(w, Mode::EventDriven).cps);
-}
-
-/** Compiled-vs-exhaustive geomean over the busy-suite workloads. */
-double
-busySuiteGeomean(const std::vector<Workload> &work)
-{
-    std::vector<double> r;
-    for (const Workload &w : work) {
-        if (w.busy)
-            r.push_back(stat(w, Mode::Compiled).cps /
-                        stat(w, Mode::Exhaustive).cps);
-    }
-    return riscy::bench::geomean(r);
 }
 
 } // namespace
@@ -454,129 +389,69 @@ main(int argc, char **argv)
     }
 
     std::vector<Workload> work;
-    work.push_back({"idle_pipeline", false,
-                    [](Mode mode, int reps) {
+    work.push_back({"idle_pipeline",
+                    [](SchedulerKind kind, int reps) {
                         return measure(
                             [](SchedulerKind kk) {
                                 return std::make_unique<Pipeline>(
                                     kIdleStages, kIdleFeedInterval, kk);
                             },
-                            mode, reps);
+                            kind, reps);
                     },
                     {}});
-    work.push_back({"idle_guards", false,
-                    [](Mode mode, int reps) {
+    work.push_back({"idle_guards",
+                    [](SchedulerKind kind, int reps) {
                         return measure(
                             [](SchedulerKind kk) {
                                 return std::make_unique<IdleGuards>(kk);
                             },
-                            mode, reps);
+                            kind, reps);
                     },
                     {}});
-    work.push_back({"busy_pipeline", true,
-                    [](Mode mode, int reps) {
+    work.push_back({"busy_pipeline",
+                    [](SchedulerKind kind, int reps) {
                         return measure(
                             [](SchedulerKind kk) {
                                 return std::make_unique<Pipeline>(
                                     kBusyStages, 1, kk);
                             },
-                            mode, reps);
+                            kind, reps);
                     },
                     {}});
-    work.push_back({"busy_deep", true,
-                    [](Mode mode, int reps) {
+    work.push_back({"busy_deep",
+                    [](SchedulerKind kind, int reps) {
                         return measure(
                             [](SchedulerKind kk) {
                                 return std::make_unique<Pipeline>(
                                     kDeepStages, 1, kk);
                             },
-                            mode, reps);
+                            kind, reps);
                     },
                     {}});
-    work.push_back({"busy_chain", true,
-                    [](Mode mode, int reps) {
+    work.push_back({"busy_chain",
+                    [](SchedulerKind kind, int reps) {
                         return measure(
                             [](SchedulerKind kk) {
                                 return std::make_unique<ChainPipeline>(
                                     kChainLanes, kChainStages, kk);
                             },
-                            mode, reps);
+                            kind, reps);
                     },
                     {}});
 
     for (Workload &w : work) {
-        for (Mode mode : kModes)
-            w.m[size_t(mode)] = w.run(mode, gReps);
+        for (size_t i = 0; i < std::size(kModes); i++)
+            w.m[i] = w.run(kModes[i].kind, gReps);
     }
 
-    // Gate (1) with de-flaking: a close loss on wall clock gets both
-    // contenders re-measured (best-of over all rounds) before we call
-    // it a regression.
-    bool gateSpeed = true;
-    if (ci) {
-        for (Workload &w : work) {
-            for (int round = 0;
-                 round < 2 &&
-                 stat(w, Mode::Compiled).cps < bestDynamicCps(w);
-                 round++) {
-                std::printf("re-measuring %s (compiled %.0f c/s vs "
-                            "dynamic %.0f c/s)\n",
-                            w.name.c_str(), stat(w, Mode::Compiled).cps,
-                            bestDynamicCps(w));
-                for (Mode mode :
-                     {Mode::Exhaustive, Mode::EventDriven, Mode::Compiled}) {
-                    RunStats again = w.run(mode, gReps);
-                    if (again.cps > w.m[size_t(mode)].cps)
-                        w.m[size_t(mode)] = again;
-                }
-            }
-            if (stat(w, Mode::Compiled).cps < bestDynamicCps(w)) {
-                gateSpeed = false;
-                std::fprintf(stderr,
-                             "GATE: compiled slower than best dynamic "
-                             "mode on %s (%.0f < %.0f c/s)\n",
-                             w.name.c_str(), stat(w, Mode::Compiled).cps,
-                             bestDynamicCps(w));
-            }
-        }
-        // Gate (2) de-flaking: the geomean rides on the same noisy
-        // wall clocks, so a close miss re-measures both sides of every
-        // busy-suite ratio (best-of merge) before the gate decides.
-        for (int round = 0; round < 2 && busySuiteGeomean(work) < 2.0;
-             round++) {
-            std::printf("re-measuring busy suite (geomean %.2fx)\n",
-                        busySuiteGeomean(work));
-            for (Workload &w : work) {
-                if (!w.busy)
-                    continue;
-                for (Mode mode : {Mode::Exhaustive, Mode::Compiled}) {
-                    RunStats again = w.run(mode, gReps);
-                    if (again.cps > w.m[size_t(mode)].cps)
-                        w.m[size_t(mode)] = again;
-                }
-            }
-        }
-    }
-
-    printf("%-14s %13s %13s %13s %13s %7s %7s %5s\n", "workload",
-           "exhaustive", "event", "compiled", "cmp_static", "co/ex",
-           "co/dyn", "state");
-    std::vector<double> busyVsEx;
+    printf("%-14s %13s %13s %7s %5s\n", "workload", "exhaustive", "event",
+           "ev/ex", "state");
     for (const Workload &w : work) {
-        double coEx =
-            stat(w, Mode::Compiled).cps / stat(w, Mode::Exhaustive).cps;
-        double coDyn = stat(w, Mode::Compiled).cps / bestDynamicCps(w);
-        if (w.busy)
-            busyVsEx.push_back(coEx);
-        printf("%-14s %13.0f %13.0f %13.0f %13.0f %6.2fx %6.2fx %5s\n",
-               w.name.c_str(), stat(w, Mode::Exhaustive).cps,
-               stat(w, Mode::EventDriven).cps, stat(w, Mode::Compiled).cps,
-               stat(w, Mode::CompiledStatic).cps, coEx, coDyn,
+        printf("%-14s %13.0f %13.0f %6.2fx %5s\n", w.name.c_str(),
+               w.m[kExhaustive].cps, w.m[kEvent].cps,
+               w.m[kEvent].cps / w.m[kExhaustive].cps,
                digestsMatch(w) ? "match" : "DIVERGE");
     }
-    double busyGeomean = riscy::bench::geomean(busyVsEx);
-    printf("busy-suite compiled-vs-exhaustive geomean: %.2fx\n",
-           busyGeomean);
 
     using riscy::bench::JsonObject;
     JsonObject cfg;
@@ -587,33 +462,23 @@ main(int argc, char **argv)
         .put("busy_stages", kBusyStages)
         .put("deep_stages", kDeepStages)
         .put("chain_lanes", kChainLanes)
-        .put("chain_stages", kChainStages)
-        .put("busy_geomean_compiled_vs_exhaustive", busyGeomean);
+        .put("chain_stages", kChainStages);
     std::vector<JsonObject> out;
     for (const Workload &w : work) {
         JsonObject o;
         o.put("workload", w.name)
-            .put("busy_suite", w.busy)
             .put("cycles", gCycles)
             .put("digest_match", digestsMatch(w));
-        for (Mode mode : kModes) {
-            const RunStats &s = stat(w, mode);
-            std::string p = modeName(mode);
-            o.put(p + "_cps", s.cps).put(p + "_attempts", s.attempts);
+        for (size_t i = 0; i < std::size(kModes); i++) {
+            std::string p = kModes[i].name;
+            o.put(p + "_cps", w.m[i].cps).put(p + "_attempts", w.m[i].attempts);
         }
-        o.put("event_sleep_skips", stat(w, Mode::EventDriven).sleepSkips)
-            .put("compiled_fast_rules", stat(w, Mode::Compiled).fastRules)
-            .put("speedup_event", stat(w, Mode::EventDriven).cps /
-                                      stat(w, Mode::Exhaustive).cps)
-            .put("speedup_compiled", stat(w, Mode::Compiled).cps /
-                                         stat(w, Mode::Exhaustive).cps)
-            .put("compiled_vs_best_dynamic",
-                 stat(w, Mode::Compiled).cps / bestDynamicCps(w));
+        o.put("event_sleep_skips", w.m[kEvent].sleepSkips)
+            .put("speedup_event", w.m[kEvent].cps / w.m[kExhaustive].cps);
         // Kernel-only microbench: the retired unit is a cycle, and the
-        // headline (compiled) run provides the wall time.
+        // headline (event-driven) run provides the wall time.
         riscy::bench::putSimSpeed(
-            o, gCycles,
-            uint64_t(1e9 * double(gCycles) / stat(w, Mode::Compiled).cps));
+            o, gCycles, uint64_t(1e9 * double(gCycles) / w.m[kEvent].cps));
         out.push_back(std::move(o));
     }
     bool wrote =
@@ -630,15 +495,5 @@ main(int argc, char **argv)
     bool ok = true;
     for (const Workload &w : work)
         ok = ok && digestsMatch(w);
-    if (ci) {
-        ok = ok && gateSpeed;
-        if (busyGeomean < 2.0) {
-            std::fprintf(stderr,
-                         "GATE: busy-suite compiled-vs-exhaustive "
-                         "geomean %.2fx < 2.0x\n",
-                         busyGeomean);
-            ok = false;
-        }
-    }
     return ok ? 0 : 1;
 }

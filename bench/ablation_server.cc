@@ -26,18 +26,13 @@
  *                  superlinearity; the 32-core sweep's pre-knee region
  *                  is not flat — 32 cores contend on 4 banks from the
  *                  start — so the slope test is 16-core only)
- *   g3 digest      Event-driven vs Compiled replay of one fixed
- *                  16-core cycle window from the same snapshot ends
- *                  bit-identical (state digest + instret + completed
- *                  request count)
- *   g4 dram        the contention model is actually exercised: DRAM
+ *   g3 dram        the contention model is actually exercised: DRAM
  *                  reads > 0 and 0 < rowHitRate <= 1 on every row
  */
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,18 +46,6 @@ using namespace riscy::bench;
 namespace {
 
 constexpr Addr kEntry = kDramBase;
-
-/** FNV-1a over a snapshot buffer: the architectural-state digest. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** Worker stacks above the code image and the KV table. */
 std::vector<Addr>
@@ -118,7 +101,7 @@ runSweepPoint(uint32_t cores, uint32_t banks, double load,
               uint32_t requests, uint64_t maxCycles)
 {
     SystemConfig cfg = SystemConfig::serverConfig(cores, banks);
-    cfg.scheduler = cmd::SchedulerKind::Compiled;
+    cfg.scheduler = cmd::SchedulerKind::EventDriven;
     cfg.obs.cpi = true;
     System sys(cfg);
 
@@ -176,66 +159,6 @@ runSweepPoint(uint32_t cores, uint32_t banks, double load,
         }
     }
     return r;
-}
-
-/** Event-vs-Compiled replay of one fixed window from one snapshot. */
-struct DigestLeg {
-    uint64_t evDigest = 0, coDigest = 0;
-    uint64_t evInstret = 0, coInstret = 0;
-    uint64_t evCompleted = 0, coCompleted = 0;
-    bool match = false;
-};
-
-DigestLeg
-runDigestLeg(uint32_t cores, uint32_t banks, double load,
-             uint32_t requests, uint64_t window)
-{
-    SystemConfig cfg = SystemConfig::serverConfig(cores, banks);
-    cfg.scheduler = cmd::SchedulerKind::EventDriven;
-    System sys(cfg);
-
-    server::KvConfig kc = kvConfigFor(cores, load, requests);
-    server::preloadKvTable(sys.mem(), kc);
-    asmkit::Assembler a(kEntry);
-    server::emitKvWorker(a, kc);
-    a.load(sys.mem(), kEntry);
-    sys.elaborate();
-    sys.start(kEntry, 0, stacks(cores));
-
-    const std::vector<uint8_t> snap0 = sys.kernel().snapshot();
-    const PhysMem mem0 = sys.mem();
-
-    // The KV host is not part of the kernel snapshot, so every replay
-    // gets a fresh instance — its schedule is a pure function of the
-    // config, so two instances are interchangeable.
-    auto leg = [&](cmd::SchedulerKind kind, uint64_t &dig,
-                   uint64_t &instret, uint64_t &completed) {
-        sys.kernel().restore(snap0);
-        sys.mem() = mem0;
-        sys.host().reset();
-        auto kv = std::make_unique<server::KvHost>(kc);
-        sys.host().attachKv(kv.get());
-        sys.kernel().setScheduler(kind);
-        uint64_t instret0 = 0;
-        for (uint32_t i = 0; i < cores; i++)
-            instret0 += sys.instret(i);
-        sys.kernel().run(window);
-        dig = digest(sys.kernel().snapshot());
-        for (uint32_t i = 0; i < cores; i++)
-            instret += sys.instret(i);
-        instret -= instret0;
-        completed = kv->summarize().completed;
-        sys.host().attachKv(nullptr);
-    };
-
-    DigestLeg d;
-    leg(cmd::SchedulerKind::EventDriven, d.evDigest, d.evInstret,
-        d.evCompleted);
-    leg(cmd::SchedulerKind::Compiled, d.coDigest, d.coInstret,
-        d.coCompleted);
-    d.match = d.evDigest == d.coDigest && d.evInstret == d.coInstret &&
-              d.evCompleted == d.coCompleted;
-    return d;
 }
 
 } // namespace
@@ -296,10 +219,10 @@ main(int argc, char **argv)
                             (unsigned long long)r.s.offered);
                 ok = false;
             }
-            // g4: the sweep must actually exercise the DRAM model.
+            // g3: the sweep must actually exercise the DRAM model.
             if (r.dramReads == 0 || r.rowHitRate <= 0.0 ||
                 r.rowHitRate > 1.0) {
-                std::printf("GATE g4: %s at load %.1f has degenerate "
+                std::printf("GATE g3: %s at load %.1f has degenerate "
                             "DRAM stats (reads %llu, rowHitRate %f)\n",
                             r.config.c_str(), r.load,
                             (unsigned long long)r.dramReads,
@@ -344,25 +267,6 @@ main(int argc, char **argv)
         }
     }
 
-    // g3: scheduler equivalence on the server topology under the KV
-    // workload — a fixed 16-core window, Event vs Compiled.
-    DigestLeg d = runDigestLeg(16, 4, 60.0, 400, 30'000);
-    std::printf("\ndigest leg (16c4b, 30k cycles): event %#018llx / "
-                "%llu instret / %llu done, compiled %#018llx / %llu "
-                "instret / %llu done -> %s\n",
-                (unsigned long long)d.evDigest,
-                (unsigned long long)d.evInstret,
-                (unsigned long long)d.evCompleted,
-                (unsigned long long)d.coDigest,
-                (unsigned long long)d.coInstret,
-                (unsigned long long)d.coCompleted,
-                d.match ? "match" : "DIVERGENCE");
-    if (!d.match) {
-        std::printf("GATE g3: event vs compiled diverged on the "
-                    "server config\n");
-        ok = false;
-    }
-
     JsonObject jcfg;
     jcfg.put("workload", "kv-open-loop")
         .put("keys", uint64_t(4096))
@@ -370,7 +274,7 @@ main(int argc, char **argv)
         .put("zipf", 0.8)
         .put("put_frac", 0.1)
         .put("seed", uint64_t(1234))
-        .put("scheduler", "compiled");
+        .put("scheduler", cmd::toString(cmd::SchedulerKind::EventDriven));
     std::vector<JsonObject> out;
     for (const SweepRow &r : rows) {
         JsonObject o;
@@ -403,17 +307,6 @@ main(int argc, char **argv)
             .put("cpi_d_miss_dram", r.cpiDMissDram)
             .put("cpi_cycles", r.cpiCycles);
         putSimSpeed(o, r.cycles, r.wallNs);
-        out.push_back(std::move(o));
-    }
-    {
-        JsonObject o;
-        o.put("config", "server-16c4b")
-            .put("mode", "digest-event-vs-compiled")
-            .put("cycles", uint64_t(30'000))
-            .putHex("digest_event", d.evDigest)
-            .putHex("digest_compiled", d.coDigest)
-            .put("instret", d.evInstret)
-            .put("digest_match", d.match);
         out.push_back(std::move(o));
     }
     bool wrote = writeBenchJson("server", jcfg, out);

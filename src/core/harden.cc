@@ -549,17 +549,11 @@ HardenedRunner::degrade()
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         kernel_.setScheduler(SchedulerKind::EventDriven);
         break;
-      case SchedulerKind::Compiled:
-        // The compiled fast path trades enforcement for speed on the
-        // strength of an elaboration-time proof; after a fault, fall
-        // back to the fully checked dynamic scheduler.
-        kernel_.setScheduler(SchedulerKind::EventDriven);
-        break;
       case SchedulerKind::EventDriven:
         kernel_.setScheduler(SchedulerKind::Exhaustive);
         break;
-      case SchedulerKind::Exhaustive:
-        break; // nowhere left to go; retries still bound the loop
+      default: // Exhaustive: nowhere left to go; retries bound the loop
+        break;
     }
 }
 

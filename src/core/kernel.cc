@@ -8,7 +8,6 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <string_view>
 
 namespace cmd {
 
@@ -51,6 +50,21 @@ toString(Conflict c)
         return "CF";
     }
     return "?";
+}
+
+const char *
+toString(SchedulerKind k)
+{
+    switch (k) {
+      case SchedulerKind::Exhaustive:
+        return "exhaustive";
+      case SchedulerKind::EventDriven:
+        return "event-driven";
+      case SchedulerKind::Parallel:
+        return "parallel";
+      default: // the retired Compiled kind
+        return "?";
+    }
 }
 
 // -------------------------------------------------------------- KernelFault
@@ -412,17 +426,6 @@ void
 Kernel::onMethodCall(const Method &m)
 {
     detail::ExecContext *c = detail::activeCtx;
-    // A CM-inert rule on the compiled fast path: elaboration proved
-    // that no check below can fail for it and that nothing reads the
-    // masks its calls would update, so the whole visit is elided.
-    // (This also skips the declaration/intra-conflict enforcement —
-    // the compiled scheduler trusts the proof like the BSV compiler
-    // trusts its static analysis; the checked schedulers still run
-    // the full visit. See DESIGN.md "Static scheduling".) The same
-    // check is inlined into Method::operator() so lite calls skip
-    // this function entirely; this copy keeps direct callers correct.
-    if (c && c->liteCalls)
-        return;
     if (!c || !c->inRule)
         kfault(FaultKind::ApiMisuse, m.fullName(),
                "method called outside any rule or atomic action");
@@ -510,21 +513,12 @@ Kernel::noteStateRead(StateBase *s, detail::ExecContext &c)
 void
 Kernel::commitRuleEffects(detail::ExecContext &c)
 {
-    if (c.fusedCommit) {
-        // Fused commit (compiled scheduler, every rule fast): the
-        // commit-cycle stamp and the waiter scan only exist to keep
-        // sleep decisions sound, and nothing in this context ever
-        // sleeps. Apply the journal and be done.
-        for (StateBase *s : c.touched)
-            s->commitStaged();
-    } else {
-        uint64_t now = currentCycle();
-        for (StateBase *s : c.touched) {
-            s->commitStaged();
-            s->lastCommitCycle_ = now;
-            if (!s->waiters_.empty())
-                wakeWaiters(s);
-        }
+    uint64_t now = currentCycle();
+    for (StateBase *s : c.touched) {
+        s->commitStaged();
+        s->lastCommitCycle_ = now;
+        if (!s->waiters_.empty())
+            wakeWaiters(s);
     }
     c.touched.clear();
     for (Module *m : c.touchedModules) {
@@ -716,157 +710,6 @@ Kernel::runCtxCycle(detail::ExecContext &c)
     return fired;
 }
 
-bool
-Kernel::fastFire(detail::ExecContext &c, const detail::CompiledEntry &e)
-{
-    // The streamlined attempt of a compiled fast rule: no sensitivity
-    // capture ever (fast rules do not sleep), the guard and body
-    // targets come pre-resolved from the table, and activeKernel is
-    // hoisted into runCompiledCycle(). Outcome bookkeeping and the
-    // observer hooks match tryFire() exactly, so fired/guard-failed
-    // event streams stay byte-identical across schedulers.
-    Rule &r = *e.rule;
-    if (!r.enabled_) {
-        r.last_ = Rule::Outcome::Disabled;
-        return false;
-    }
-    c.attempts++;
-    if (e.guard && !(*e.guard)()) {
-        r.last_ = Rule::Outcome::GuardFalse;
-        r.guardAborts_.inc();
-#ifndef CMD_NO_OBS
-        if (obs_)
-            obs_->guardFailed(r, currentCycle(), r.domain_);
-#endif
-        return false;
-    }
-    c.inRule = true;
-    c.currentRule = &r;
-    c.liteCalls = e.lite;
-    bool fired = false;
-    try {
-        (*e.body)();
-        if (c.fastGuardFail) {
-            c.fastGuardFail = false;
-            c.fastGuardFails++;
-            r.last_ = Rule::Outcome::GuardFalse;
-            r.guardAborts_.inc();
-#ifndef CMD_NO_OBS
-            if (obs_)
-                obs_->guardFailed(r, currentCycle(), r.domain_);
-#endif
-        } else {
-            fired = true;
-        }
-    } catch (const GuardFail &) {
-        c.guardThrows++;
-        r.last_ = Rule::Outcome::GuardFalse;
-        r.guardAborts_.inc();
-#ifndef CMD_NO_OBS
-        if (obs_)
-            obs_->guardFailed(r, currentCycle(), r.domain_);
-#endif
-    } catch (const CmBlock &) {
-        r.last_ = Rule::Outcome::CmBlocked;
-        r.cmAborts_.inc();
-    } catch (...) {
-        c.liteCalls = false;
-        c.inRule = false;
-        c.currentRule = nullptr;
-        abortRuleEffects(c);
-        throw;
-    }
-    c.liteCalls = false;
-    c.inRule = false;
-    c.currentRule = nullptr;
-
-    if (fired) {
-        commitRuleEffects(c);
-        r.last_ = Rule::Outcome::Fired;
-        r.fired_.inc();
-        c.noteFired(&r, currentCycle());
-#ifndef CMD_NO_OBS
-        if (obs_)
-            obs_->ruleFired(r, currentCycle(), r.domain_);
-#endif
-    } else {
-        abortRuleEffects(c);
-    }
-    return fired;
-}
-
-uint32_t
-Kernel::runCompiledCycle(detail::ExecContext &c)
-{
-    // One-shot re-specialization once the profiling prefix elapsed:
-    // promote the empirically hot rules before walking this cycle.
-    if (!compiledRespecialized_ &&
-        cycle_ >= compiledProfileStart_ + compiledProfileCycles_)
-        respecializeCompiled();
-
-    uint32_t fired = 0;
-    // Empty-cycle fast-out: with every rule (fast ones keep their
-    // awake bit permanently) asleep there is nothing to attempt, so
-    // skip the TLS/exception frame below — this keeps compiled idle
-    // cycles as cheap as event-driven ones.
-    if (!c.fusedCommit) {
-        int64_t first = c.nextAwake(0);
-        if (first < 0) {
-            c.sleepSkips += c.sched.size();
-            return 0;
-        }
-    }
-    Kernel *prevActive = detail::activeKernel;
-    detail::activeKernel = this;
-    try {
-        if (c.fusedCommit) {
-            // Every rule is fast: the awake bitmap is permanently all
-            // ones, so the walk degenerates to a flat scan of the
-            // dispatch table — the fused loop with no per-rule
-            // scheduling decisions left at all.
-            for (const detail::CompiledEntry &e : c.ctable) {
-                if (fastFire(c, e))
-                    fired++;
-            }
-        } else {
-            // Mixed table: fast rules never clear their awake bit, so
-            // the event-wheel walk visits all of them plus whatever
-            // residue rules are awake, in schedule order.
-            uint32_t visited = 0;
-            int64_t pos = c.nextAwake(0);
-            while (pos >= 0) {
-                const detail::CompiledEntry &e = c.ctable[pos];
-                visited++;
-                if (e.fast) {
-                    if (fastFire(c, e))
-                        fired++;
-                } else {
-                    c.readMark = newReadMark();
-                    c.readSet.clear();
-                    c.readOverflow = false;
-                    c.cycleRead = false;
-                    c.attemptCaptured = true;
-                    c.readMode = detail::ReadMode::Capture;
-                    bool f = tryFire(c, *e.rule);
-                    c.readMode = detail::ReadMode::Off;
-                    if (f)
-                        fired++;
-                    else if (e.rule->last_ == Rule::Outcome::GuardFalse)
-                        maybeSleep(c, *e.rule);
-                }
-                pos = c.nextAwake(uint32_t(pos) + 1);
-            }
-            c.sleepSkips += c.sched.size() - visited;
-        }
-    } catch (...) {
-        detail::activeKernel = prevActive;
-        throw;
-    }
-    detail::activeKernel = prevActive;
-    c.fired += fired;
-    return fired;
-}
-
 uint32_t
 Kernel::cycle()
 {
@@ -884,8 +727,6 @@ Kernel::cycle()
                     fired++;
             }
             mainCtx_.fired += fired;
-        } else if (sched_ == SchedulerKind::Compiled) {
-            fired = runCompiledCycle(mainCtx_);
         } else {
             fired = runCtxCycle(mainCtx_);
         }
@@ -1226,147 +1067,6 @@ Kernel::wakeAll()
         c.resetWheel();
 }
 
-// -------------------------------------------------- compiled scheduler
-
-void
-Kernel::computeCmInertia()
-{
-    if (cmInertComputed_)
-        return;
-    cmInertComputed_ = true;
-    for (Rule *r : rulePtrs_)
-        r->cmInert_ = true;
-
-    // A rule is CM-inert iff, against every later-scheduled rule,
-    // every same-module method pair of the two closures is LT or CF —
-    // then its fires can never make a later call illegal (no bit of
-    // its methods appears in any later method's illegalBeforeMask),
-    // and nothing scheduled before it can block it either (a C pair
-    // disqualifies both sides, and a GT pair against an earlier rule
-    // is the same pair seen from the other end). Unlike
-    // computeRuleRelation(), subcall-shadowed pairs are NOT skipped: a
-    // parent-declared CF only promises that the *dynamic* CM check
-    // will catch the cycles where the sub-units collide (see
-    // Method::subcalls()), so a shadowed C pair must keep both rules
-    // on the checked path.
-    uint32_t n = uint32_t(schedule_.size());
-    for (uint32_t i = 0; i < n; i++) {
-        Rule *a = schedule_[i];
-        for (uint32_t j = i + 1; j < n; j++) {
-            Rule *b = schedule_[j];
-            if (!a->cmInert_ && !b->cmInert_)
-                continue;
-            for (const auto &[ma, pa] : a->closure_) {
-                for (const auto &[mb, pb] : b->closure_) {
-                    if (&ma->owner() != &mb->owner())
-                        continue;
-                    Conflict rel = ma->owner().cm(*ma, *mb);
-                    if (rel == Conflict::C || rel == Conflict::GT) {
-                        a->cmInert_ = false;
-                        b->cmInert_ = false;
-                    }
-                }
-            }
-        }
-    }
-}
-
-void
-Kernel::compileSchedule()
-{
-    computeCmInertia();
-    // The table is indexed by schedule position; elaborate() verified
-    // that Rule::schedPos() matches it, and the sequential contexts'
-    // sched is the global schedule, so table[pos].rule->schedPos()
-    // == pos holds by construction. Re-verify cheaply: a future
-    // reordering pass that forgets to refresh schedPos_ would
-    // otherwise mis-key the obs timeline and this table silently.
-    mainCtx_.ctable.clear();
-    mainCtx_.ctable.reserve(schedule_.size());
-    bool allFast = !schedule_.empty();
-    for (uint32_t p = 0; p < schedule_.size(); p++) {
-        Rule *r = schedule_[p];
-        if (r->schedPos_ != p)
-            kfault(FaultKind::DesignError, r->name(),
-                   "stale schedPos %u at compiled table position %u",
-                   r->schedPos_, p);
-        detail::CompiledEntry e;
-        e.rule = r;
-        e.guard = r->guard_ ? &r->guard_ : nullptr;
-        e.body = &r->body_;
-        e.fast = r->compiledFast_;
-        e.lite = r->compiledFast_ && r->cmInert_;
-        allFast = allFast && e.fast;
-        mainCtx_.ctable.push_back(e);
-    }
-    mainCtx_.fusedCommit = allFast;
-}
-
-void
-Kernel::startCompiled()
-{
-    // Profiling regime: every rule starts on the event-driven residue
-    // path (so idle designs keep their sleep/wake wins from cycle
-    // one) and the attempt counters are baselined for the hot-rule
-    // promotion at the end of the prefix. profileCycles == 0 is the
-    // fully static schedule: everything fast immediately.
-    compiledRespecialized_ = compiledProfileCycles_ == 0;
-    compiledProfileStart_ = cycle_;
-    for (Rule *r : rulePtrs_) {
-        r->compiledFast_ = compiledProfileCycles_ == 0;
-        r->profBase_ = r->fired_.value() + r->guardAborts_.value() +
-                       r->cmAborts_.value();
-    }
-    compileSchedule();
-}
-
-void
-Kernel::respecializeCompiled()
-{
-    compiledRespecialized_ = true;
-    uint64_t window = cycle_ - compiledProfileStart_;
-    if (window == 0)
-        return;
-    for (Rule *r : rulePtrs_) {
-        uint64_t attempts = r->fired_.value() + r->guardAborts_.value() +
-                            r->cmAborts_.value() - r->profBase_;
-        // Rules attempted (not slept through) on at least hotRate of
-        // the profiled cycles gain nothing from the sleep machinery:
-        // promote them to the fast path. The cold residue keeps
-        // sleeping. Promotion never changes which rules *fire*, so
-        // architectural state evolution is unaffected.
-        r->compiledFast_ =
-            double(attempts) >= compiledHotRate_ * double(window);
-    }
-    compileSchedule();
-    wakeAll(); // a promoted rule may be asleep; fast rules stay awake
-}
-
-void
-Kernel::setCompiledProfile(uint64_t profileCycles, double hotRate)
-{
-    if (inRule())
-        kfault(FaultKind::ApiMisuse, "kernel",
-               "setCompiledProfile() inside a rule");
-    compiledProfileCycles_ = profileCycles;
-    compiledHotRate_ = hotRate;
-    if (elaborated_ && sched_ == SchedulerKind::Compiled) {
-        startCompiled();
-        wakeAll();
-    }
-}
-
-uint32_t
-Kernel::compiledFastRuleCount() const
-{
-    if (sched_ != SchedulerKind::Compiled)
-        return 0;
-    uint32_t n = 0;
-    for (const detail::CompiledEntry &e : mainCtx_.ctable)
-        n += e.fast;
-    return n;
-}
-
 void
 Kernel::bindContexts()
 {
@@ -1384,10 +1084,6 @@ Kernel::bindContexts()
             schedule_[p]->ctxPos_ = p;
         }
     }
-    if (sched_ == SchedulerKind::Compiled)
-        startCompiled();
-    else
-        mainCtx_.fusedCommit = false;
 }
 
 void
@@ -1396,6 +1092,9 @@ Kernel::setScheduler(SchedulerKind k)
     if (inRule())
         kfault(FaultKind::ApiMisuse, "kernel",
                "setScheduler() inside a rule");
+    if (k == SchedulerKind::Compiled)
+        kfault(FaultKind::ApiMisuse, "kernel",
+               "the compiled scheduler was removed; use EventDriven");
     sched_ = k;
     if (elaborated_)
         bindContexts();
@@ -1787,7 +1486,7 @@ Kernel::elaborate()
     wakeAll(); // seed the event wheels with every rule awake
 
     // schedPos_ is a stable per-run rule id consumed by the obs
-    // timeline and the compiled dispatch tables. It is assigned once
+    // timeline. It is assigned once
     // above; verify at elaboration end that no later pass (domain
     // partitioning, context binding, or a future reordering) left it
     // stale relative to the final schedule_.
@@ -1847,22 +1546,8 @@ std::string
 Kernel::diagnosticReport() const
 {
     std::ostringstream os;
-    os << "kernel diagnostics @ cycle " << cycle_ << " (scheduler ";
-    switch (sched_) {
-      case SchedulerKind::Exhaustive:
-        os << "exhaustive";
-        break;
-      case SchedulerKind::EventDriven:
-        os << "event-driven";
-        break;
-      case SchedulerKind::Parallel:
-        os << "parallel";
-        break;
-      case SchedulerKind::Compiled:
-        os << "compiled";
-        break;
-    }
-    os << ", " << domainCount_ << " domain(s))\n";
+    os << "kernel diagnostics @ cycle " << cycle_ << " (scheduler "
+       << toString(sched_) << ", " << domainCount_ << " domain(s))\n";
 
     auto dumpCtx = [&](const detail::ExecContext &c, const std::string &who) {
         uint32_t awake = 0;
@@ -2002,15 +1687,7 @@ KernelReport
 Kernel::report() const
 {
     KernelReport rep;
-    rep.scheduler = "exhaustive";
-    if (sched_ == SchedulerKind::EventDriven)
-        rep.scheduler = "event-driven";
-    else if (sched_ == SchedulerKind::Parallel)
-        rep.scheduler = "parallel";
-    else if (sched_ == SchedulerKind::Compiled) {
-        rep.scheduler = "compiled";
-        rep.compiledFastRules = compiledFastRuleCount();
-    }
+    rep.scheduler = toString(sched_);
     rep.cycle = cycle_;
     rep.domains = domainCount_;
     rep.attempts = ruleAttemptCount();
@@ -2068,8 +1745,6 @@ KernelReport::text() const
        << " sleeps=" << sleeps << " wakes=" << wakes
        << " guardThrows=" << guardThrows
        << " fastGuardFails=" << fastGuardFails << '\n';
-    if (std::string_view(scheduler) == "compiled")
-        os << "compiled: fastRules=" << compiledFastRules << '\n';
     if (threads) {
         os << "parallel: threads=" << threads << " cycles=" << parallelCycles
            << " barrierWaitNs=" << barrierWaitNs
@@ -2098,8 +1773,6 @@ KernelReport::json() const
        << ", \"sleep_skips\": " << sleepSkips << ", \"sleeps\": " << sleeps
        << ", \"wakes\": " << wakes << ", \"guard_throws\": " << guardThrows
        << ", \"fast_guard_fails\": " << fastGuardFails;
-    if (std::string_view(scheduler) == "compiled")
-        os << ", \"compiled_fast_rules\": " << compiledFastRules;
     if (threads) {
         os << ", \"threads\": " << threads
            << ", \"parallel_cycles\": " << parallelCycles

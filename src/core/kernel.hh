@@ -124,24 +124,19 @@ const char *toString(Conflict c);
  *    a per-cycle barrier. Falls back to the sequential event-driven
  *    walk when the design partitions into a single domain. State
  *    evolution stays bit-identical to the other schedulers.
- *  - Compiled: the schedule is compiled at elaboration into a flat
- *    dispatch table walked in schedule order (what the BSV compiler
- *    does statically). Rules classified as CM-inert have their
- *    per-method-call bookkeeping elided entirely, and a short
- *    profiling prefix re-specializes the table once: empirically hot
- *    rules move onto a streamlined fire path with no sensitivity
- *    capture, while the cold residue keeps the event-driven
- *    sleep/wake machinery. State evolution stays bit-identical to
- *    the other schedulers; see DESIGN.md "Static scheduling" for the
- *    argument and for the (enforcement-only) checks the fast path
- *    legitimately skips.
+ *  - Compiled: retired. Kernel::setScheduler() rejects it with an
+ *    ApiMisuse fault; the enumerator remains only so existing
+ *    switches over SchedulerKind keep compiling.
  */
 enum class SchedulerKind : uint8_t {
     Exhaustive,
     EventDriven,
     Parallel,
-    Compiled,
+    Compiled, ///< retired; rejected by Kernel::setScheduler()
 };
+
+/** Printable name of a scheduler kind ("exhaustive", "event-driven", ...). */
+const char *toString(SchedulerKind k);
 
 /**
  * Thrown when a guard is false: the enclosing rule aborts and "does
@@ -297,8 +292,6 @@ struct KernelReport
     const char *scheduler = "exhaustive";
     uint64_t cycle = 0;
     uint32_t domains = 1;
-    /// Compiled scheduler only: rules on the fast dispatch path.
-    uint32_t compiledFastRules = 0;
     uint64_t attempts = 0;
     uint64_t sleepSkips = 0;
     uint64_t sleeps = 0;
@@ -385,26 +378,6 @@ enum class ReadMode : uint8_t {
 /// crash dumps show the merged tail of these).
 constexpr uint32_t kFireRingSize = 32;
 
-/**
- * One slot of a compiled dispatch table (SchedulerKind::Compiled):
- * the rule plus everything the specialized walk needs resolved ahead
- * of time — guard and body targets, and the classification flags.
- * Tables are rebuilt whole on (re-)specialization, never patched.
- */
-struct CompiledEntry
-{
-    Rule *rule = nullptr;
-    /// when() guard to test ahead of the body; null = always attempt
-    const std::function<bool()> *guard = nullptr;
-    const std::function<void()> *body = nullptr;
-    /// streamlined fire path: attempted every cycle, no sensitivity
-    /// capture, never sleeps
-    bool fast = false;
-    /// CM-inert (proven at elaboration): method-call bookkeeping and
-    /// the fired-mask merge are elided for this rule's attempts
-    bool lite = false;
-};
-
 struct ExecContext
 {
     uint32_t domainId = kNoDomain;
@@ -429,17 +402,6 @@ struct ExecContext
     std::vector<Rule *> sched;
     /// bitmap over sched positions of awake rules (the event wheel)
     std::vector<uint64_t> awakeBits;
-
-    // Compiled scheduler (SchedulerKind::Compiled) state:
-    /// dispatch table aligned with sched; empty unless compiled
-    std::vector<CompiledEntry> ctable;
-    /// attempt in flight is a CM-inert compiled rule: onMethodCall()
-    /// returns immediately (the checks are proven unnecessary)
-    bool liteCalls = false;
-    /// every rule of this context is on the compiled fast path, so no
-    /// rule ever sleeps here: commits skip the commit-cycle stamp and
-    /// the waiter scan, and the walk degenerates to a flat array scan
-    bool fusedCommit = false;
 
     // Counters (Kernel getters sum them across contexts):
     uint64_t attempts = 0;
@@ -875,16 +837,6 @@ class Rule
     uint64_t sleepGen_ = 0;
     uint32_t schedPos_ = 0; ///< position in Kernel::schedule_
 
-    // Compiled scheduler classification (see Kernel::compileSchedule):
-    /// proven at elaboration: no method pair of this rule against any
-    /// later-scheduled rule has a C or > CM entry, so this rule can
-    /// neither CM-block another rule nor be blocked itself
-    bool cmInert_ = false;
-    /// currently on the compiled fast dispatch path
-    bool compiledFast_ = false;
-    /// attempt-counter baseline captured when profiling started
-    uint64_t profBase_ = 0;
-
     // Domain partitioning / context binding:
     uint32_t hintGroup_ = 0; ///< hint group at construction
     uint32_t domain_ = 0;    ///< resolved at elaboration
@@ -973,6 +925,7 @@ class Kernel
      * Select the rule-scheduling strategy. May be called at any point
      * between cycles (before or after elaboration); switching wakes
      * every rule so no stale sleep survives the previous strategy.
+     * The retired Compiled kind raises ApiMisuse.
      */
     void setScheduler(SchedulerKind k);
     SchedulerKind scheduler() const { return sched_; }
@@ -985,25 +938,6 @@ class Kernel
      */
     void setParallelThreads(uint32_t n);
     uint32_t parallelThreads() const { return threadsWanted_; }
-
-    /**
-     * Configure the compiled scheduler's profiling prefix. For the
-     * first @p profileCycles cycles under SchedulerKind::Compiled,
-     * every rule runs on the event-driven residue path while its
-     * attempt rate is observed; the table is then re-specialized
-     * once, promoting rules whose attempt rate is at least
-     * @p hotRate (attempts per cycle, in [0, 1]) onto the fast
-     * dispatch path — those rules were not benefiting from sleeping,
-     * so the per-attempt sensitivity capture was pure overhead.
-     * profileCycles == 0 skips profiling entirely: every rule
-     * compiles fast immediately (the fully static schedule).
-     * May be called between cycles; under an active compiled
-     * scheduler it restarts profiling from the current cycle.
-     */
-    void setCompiledProfile(uint64_t profileCycles, double hotRate = 0.5);
-    uint64_t compiledProfileCycles() const { return compiledProfileCycles_; }
-    /** Rules currently on the compiled fast path (0 when not compiled). */
-    uint32_t compiledFastRuleCount() const;
 
     /** Number of domains the design partitioned into (post-elab). */
     uint32_t domainCount() const { return domainCount_; }
@@ -1232,20 +1166,6 @@ class Kernel
     /** One event-driven walk of @p c's schedule. @return fired. */
     uint32_t runCtxCycle(detail::ExecContext &c);
 
-    // ---- compiled scheduler internals
-    /** Mark every rule provably free of CM interaction (one-shot). */
-    void computeCmInertia();
-    /** (Re)build the dispatch table from the current classification. */
-    void compileSchedule();
-    /** Reset classification + profiling baselines, build the table. */
-    void startCompiled();
-    /** One-shot promotion of empirically hot rules to the fast path. */
-    void respecializeCompiled();
-    /** Streamlined attempt of a fast table entry. @return fired? */
-    bool fastFire(detail::ExecContext &c, const detail::CompiledEntry &e);
-    /** One compiled walk of @p c's dispatch table. @return fired. */
-    uint32_t runCompiledCycle(detail::ExecContext &c);
-
     // ---- event-driven scheduler internals
     /** Sleep @p r on the attempt's read set if it was captured exactly. */
     void maybeSleep(detail::ExecContext &c, Rule &r);
@@ -1304,13 +1224,6 @@ class Kernel
     bool elaborated_ = false;
     uint64_t cycle_ = 0;
     KernelObserver *obs_ = nullptr;
-
-    // Compiled scheduler:
-    bool cmInertComputed_ = false;      ///< inertness pass ran (one-shot)
-    bool compiledRespecialized_ = false;
-    uint64_t compiledProfileCycles_ = 1024;
-    double compiledHotRate_ = 0.5;
-    uint64_t compiledProfileStart_ = 0; ///< cycle_ when profiling began
 
     // Scheduler state:
     SchedulerKind sched_ = SchedulerKind::Exhaustive;
@@ -1383,14 +1296,6 @@ StateBase::noteRead() const
 inline void
 Method::operator()() const
 {
-    // A CM-inert rule on the compiled fast path skips the whole
-    // kernel visit — elaboration proved no check in onMethodCall()
-    // can fail for it and nothing reads the masks it would update
-    // (see Kernel::computeCmInertia and DESIGN.md "Static
-    // scheduling"). Checked inline so the elision costs one branch.
-    detail::ExecContext *c = detail::activeCtx;
-    if (c && c->liteCalls)
-        return;
     owner_.kernel().onMethodCall(*this);
 }
 

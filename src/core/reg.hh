@@ -14,18 +14,6 @@
  * implementations use it to realize conflict-free (CF) method pairs
  * whose guards must not depend on intra-cycle execution order (see
  * fifo.hh's CfFifo).
- *
- * Commit-fusion contract (SchedulerKind::Compiled). The kernel's
- * fused commit path skips its *scheduler* bookkeeping per committed
- * element — the commit-cycle stamp and the sleeping-rule waiter scan —
- * because a context whose rules never sleep has no reader for either.
- * What it must NOT skip is anything architectural, so commitStaged()
- * implementations have to stay self-contained: the stable_/history_
- * epoch maintenance below is readStable() semantics (CF method pairs
- * depend on it within a cycle) and runs identically under every
- * scheduler. Keep that split in mind when adding state element kinds:
- * scheduler state lives in StateBase and is the kernel's to elide,
- * value semantics live here and are not.
  */
 #pragma once
 

@@ -38,22 +38,6 @@ constexpr int32_t kDoneOff = 1024;
  */
 constexpr int64_t kStartDeadline = 2000;
 
-const char *
-schedName(cmd::SchedulerKind s)
-{
-    switch (s) {
-    case cmd::SchedulerKind::Exhaustive:
-        return "Exhaustive";
-    case cmd::SchedulerKind::EventDriven:
-        return "EventDriven";
-    case cmd::SchedulerKind::Parallel:
-        return "Parallel";
-    case cmd::SchedulerKind::Compiled:
-        return "Compiled";
-    }
-    return "?";
-}
-
 /** Emit "exit with code in a0" through the host device, then park. */
 void
 emitExit(Assembler &a)
@@ -476,7 +460,7 @@ writeReproBundle(const std::string &dir, const LitmusProgram &p,
       << "test:      " << p.name << "\n"
       << "program:   " << p.describe() << "\n"
       << "model:     " << toString(cfg.model) << "\n"
-      << "scheduler: " << schedName(cfg.sched) << "\n"
+      << "scheduler: " << cmd::toString(cfg.sched) << "\n"
       << "seed:      " << cfg.seed << "\n"
       << "jitter:    " << cfg.jitterEvents << " delays <= "
       << cfg.jitterMaxDelay << " cycles in [1," << cfg.jitterHorizon

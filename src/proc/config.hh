@@ -79,18 +79,6 @@ struct SystemConfig {
      * Ignored by the sequential schedulers.
      */
     uint32_t lookahead = 0;
-    /**
-     * SchedulerKind::Compiled: cycles of event-driven profiling
-     * before the dispatch table is re-specialized once, promoting
-     * rules attempted on at least compiledHotRate of the profiled
-     * cycles onto the fused fast path. 0 compiles every rule fast
-     * immediately (the fully static schedule). Ignored by the other
-     * schedulers.
-     */
-    uint64_t compiledProfileCycles = 1024;
-    /** Attempt-rate threshold (attempts/cycle in [0,1]) for the
-     *  compiled fast-path promotion. */
-    double compiledHotRate = 0.5;
 
     // ---- execution mode (see proc/sampling.hh and System::run*)
     /**
@@ -120,7 +108,7 @@ struct SystemConfig {
     std::string checkpointPath;
     /** KernelFaults absorbed (restore + degrade) before giving up. */
     uint32_t maxFaultRetries = 3;
-    /** Degrade Parallel/Compiled -> EventDriven -> Exhaustive on a fault. */
+    /** Degrade Parallel -> EventDriven -> Exhaustive on a fault. */
     bool degradeScheduler = true;
     /**
      * Bound on one parallel cycle barrier (stuck-worker detection),

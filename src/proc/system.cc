@@ -34,7 +34,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     k_.setParallelThreads(cfg_.threads);
     k_.setLookahead(cfg_.lookahead);
     k_.setBarrierTimeoutNs(cfg_.barrierTimeoutNs);
-    k_.setCompiledProfile(cfg_.compiledProfileCycles, cfg_.compiledHotRate);
     cfg_.mem.cores = cfg_.cores;
     host_ = std::make_unique<HostDevice>(cfg_.cores);
     hier_ = std::make_unique<MemHierarchy>(k_, "mem", mem_, cfg_.mem);

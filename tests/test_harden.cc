@@ -127,14 +127,8 @@ TEST(Snapshot, RoundTripEveryStateType)
 TEST(Snapshot, RestoreThenRunReplaysBitExactly)
 {
     for (SchedulerKind kind :
-         {SchedulerKind::Exhaustive, SchedulerKind::EventDriven,
-          SchedulerKind::Compiled}) {
+         {SchedulerKind::Exhaustive, SchedulerKind::EventDriven}) {
         AllState d(kind);
-        // Short profiling prefix: the snapshot is taken after the
-        // compiled scheduler re-specialized, so the replay exercises
-        // the fast-path dispatch table across a restore.
-        if (kind == SchedulerKind::Compiled)
-            d.k.setCompiledProfile(20);
         d.k.run(50);
         auto snap = d.k.snapshot();
 
@@ -209,12 +203,10 @@ TEST(Injector, SameSeedSameOutcome)
     EXPECT_EQ(refFired, runCampaign(b));
     EXPECT_EQ(digest(a.k.snapshot()), digest(b.k.snapshot()));
 
-    // The same campaign under the compiled scheduler (profiling prefix
-    // plus re-specialized fast path both inside the 500-cycle window)
-    // lands on the same per-cycle fired counts and the same final
-    // state: fault injection composes with compiled dispatch.
-    AllState c(SchedulerKind::Compiled);
-    c.k.setCompiledProfile(50);
+    // The same campaign under the event-driven scheduler lands on the
+    // same per-cycle fired counts and the same final state: fault
+    // injection composes with sleep/wake.
+    AllState c(SchedulerKind::EventDriven);
     EXPECT_EQ(runCampaign(c), refFired);
     EXPECT_EQ(digest(c.k.snapshot()), digest(a.k.snapshot()));
 }
@@ -443,7 +435,7 @@ TEST(Watchdog, NamesStarvedDomainUnderEverySchedulerKind)
 {
     for (SchedulerKind kind :
          {SchedulerKind::Exhaustive, SchedulerKind::EventDriven,
-          SchedulerKind::Parallel, SchedulerKind::Compiled}) {
+          SchedulerKind::Parallel}) {
         Wedgeable d(kind, 50);
         ASSERT_EQ(d.k.domainCount(), 2u);
         Watchdog wd(d.k, 200);
@@ -704,35 +696,6 @@ TEST(HardenedRunner, AbsorbsFaultAndDegradesScheduler)
     EXPECT_NE(hr.faultLog()[0].find("injected failure"), std::string::npos);
     EXPECT_EQ(k.scheduler(), SchedulerKind::Exhaustive)
         << "EventDriven should have degraded one step";
-    EXPECT_EQ(t.read(), 300u);
-}
-
-TEST(HardenedRunner, DegradesCompiledToEventDriven)
-{
-    // The compiled fast path trades dynamic bookkeeping for speed, so
-    // after a fault the runner must land on the fully checked
-    // event-driven scheduler, then Exhaustive on a second fault.
-    Kernel k;
-    k.setScheduler(SchedulerKind::Compiled);
-    k.setCompiledProfile(0); // fully static: fault fires on the fast path
-    Reg<uint64_t> t(k, "t", 0);
-    bool armed = true;
-    k.rule("run", [&] {
-        if (armed && t.read() == 100) {
-            armed = false;
-            kfault(FaultKind::DesignError, "testmod", "injected failure");
-        }
-        t.write(t.read() + 1);
-    });
-    k.elaborate();
-
-    HardenedConfig hc;
-    hc.watchdogStallCycles = 0;
-    HardenedRunner hr(k, hc);
-    EXPECT_TRUE(hr.run([&] { return t.read() >= 300; }, 10000));
-    EXPECT_EQ(hr.faultRetries(), 1u);
-    EXPECT_EQ(k.scheduler(), SchedulerKind::EventDriven)
-        << "Compiled should have degraded to the checked dynamic mode";
     EXPECT_EQ(t.read(), 300u);
 }
 

@@ -396,28 +396,42 @@ TEST(Cm, MixedOrderingWithinOnePairIsConflict)
     EXPECT_EQ(k.ruleRelation(r1, r2), Conflict::C);
 }
 
+// The declaration checks hold under every scheduler kind: no
+// scheduler may trade enforcement for speed.
+constexpr SchedulerKind kCheckedKinds[] = {SchedulerKind::Exhaustive,
+                                           SchedulerKind::EventDriven,
+                                           SchedulerKind::Parallel};
+
 TEST(Cm, UndeclaredMethodCallIsDesignError)
 {
-    Kernel k;
-    Counter c(k, "c", Conflict::CF);
-    k.rule("sneaky", [&] { c.inc(); }); // no uses() declaration
-    k.elaborate();
-    expectFault([&] { k.cycle(); }, FaultKind::DesignError,
-                "did not declare");
+    for (SchedulerKind kind : kCheckedKinds) {
+        SCOPED_TRACE(toString(kind));
+        Kernel k;
+        k.setScheduler(kind);
+        Counter c(k, "c", Conflict::CF);
+        k.rule("sneaky", [&] { c.inc(); }); // no uses() declaration
+        k.elaborate();
+        expectFault([&] { k.cycle(); }, FaultKind::DesignError,
+                    "did not declare");
+    }
 }
 
 TEST(Cm, IntraRuleConflictIsDesignError)
 {
-    Kernel k;
-    Counter c(k, "c", Conflict::C);
-    Rule &r = k.rule("both", [&] {
-        c.inc();
-        c.dec();
-    });
-    r.uses({&c.incM, &c.decM});
-    k.elaborate();
-    expectFault([&] { k.cycle(); }, FaultKind::DesignError,
-                "conflicting methods");
+    for (SchedulerKind kind : kCheckedKinds) {
+        SCOPED_TRACE(toString(kind));
+        Kernel k;
+        k.setScheduler(kind);
+        Counter c(k, "c", Conflict::C);
+        Rule &r = k.rule("both", [&] {
+            c.inc();
+            c.dec();
+        });
+        r.uses({&c.incM, &c.decM});
+        k.elaborate();
+        expectFault([&] { k.cycle(); }, FaultKind::DesignError,
+                    "conflicting methods");
+    }
 }
 
 TEST(Cm, SubcallsPropagateIntoRuleRelation)

@@ -436,7 +436,6 @@ TEST(Multicore, SixteenCoreBankedDigestCosim)
         }
     };
     replay(cmd::SchedulerKind::EventDriven, 0, 0, "event");
-    replay(cmd::SchedulerKind::Compiled, 0, 0, "compiled");
     replay(cmd::SchedulerKind::Parallel, 4, 0, "parallel");
     ASSERT_TRUE(sys.kernel().parallelActive());
     // 16 hart domains + 4 bank-slice domains + the DRAM controller.

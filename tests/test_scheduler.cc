@@ -343,16 +343,28 @@ struct Soup {
 
 } // namespace
 
+/**
+ * Three-way lockstep over the seeded soups: the event-driven and the
+ * Parallel kernel (single-domain here, so the sequential event walk)
+ * are digest-compared against the exhaustive reference every cycle.
+ */
 TEST(Scheduler, LockstepRandomSoups)
 {
     for (uint32_t seed : {1u, 7u, 42u, 1234u}) {
         Soup ex(seed, SchedulerKind::Exhaustive);
         Soup ev(seed, SchedulerKind::EventDriven);
+        Soup pa(seed, SchedulerKind::Parallel);
         for (int c = 0; c < 2000; c++) {
             ex.k.cycle();
             ev.k.cycle();
-            ASSERT_EQ(digest(ex.k.snapshot()), digest(ev.k.snapshot()))
-                << "seed " << seed << " diverged at cycle " << c + 1;
+            pa.k.cycle();
+            uint64_t dx = digest(ex.k.snapshot());
+            ASSERT_EQ(dx, digest(ev.k.snapshot()))
+                << "seed " << seed << ": event-driven diverged at cycle "
+                << c + 1;
+            ASSERT_EQ(dx, digest(pa.k.snapshot()))
+                << "seed " << seed << ": parallel diverged at cycle "
+                << c + 1;
         }
         // The equivalence must not be vacuous: the event-driven run
         // actually slept rules and actually fired work.
@@ -362,130 +374,16 @@ TEST(Scheduler, LockstepRandomSoups)
     }
 }
 
-/**
- * Four-way lockstep over the seeded soups with the compiled scheduler
- * in the mix. The short profiling prefix puts both compiled regimes —
- * the event-driven profiling walk and the re-specialized fast-path
- * dispatch — inside the comparison window, and the Parallel kernel
- * (single-domain here, so the sequential event walk) rides along so
- * every SchedulerKind is digest-compared against every other.
- */
-TEST(Scheduler, CompiledLockstepRandomSoups)
-{
-    for (uint32_t seed : {1u, 7u, 42u, 1234u}) {
-        Soup ex(seed, SchedulerKind::Exhaustive);
-        Soup co(seed, SchedulerKind::Compiled);
-        Soup pa(seed, SchedulerKind::Parallel);
-        co.k.setCompiledProfile(200);
-        for (int c = 0; c < 2000; c++) {
-            ex.k.cycle();
-            co.k.cycle();
-            pa.k.cycle();
-            uint64_t dx = digest(ex.k.snapshot());
-            ASSERT_EQ(dx, digest(co.k.snapshot()))
-                << "seed " << seed << ": compiled diverged at cycle "
-                << c + 1;
-            ASSERT_EQ(dx, digest(pa.k.snapshot()))
-                << "seed " << seed << ": parallel diverged at cycle "
-                << c + 1;
-        }
-        // Re-specialization really happened and really promoted work.
-        EXPECT_GT(co.k.compiledFastRuleCount(), 0u) << "seed " << seed;
-        EXPECT_STREQ(co.k.report().scheduler, "compiled");
-    }
-}
-
-/**
- * The fully static compile (profileCycles == 0): every rule goes fast
- * immediately, nothing ever sleeps, and the state evolution still
- * matches the exhaustive reference bit for bit.
- */
-TEST(Scheduler, CompiledStaticScheduleMatchesExhaustive)
-{
-    Soup ex(42u, SchedulerKind::Exhaustive);
-    Soup co(42u, SchedulerKind::Compiled);
-    co.k.setCompiledProfile(0);
-    EXPECT_EQ(co.k.compiledFastRuleCount(), uint32_t(co.k.rules().size()));
-    for (int c = 0; c < 1000; c++) {
-        ex.k.cycle();
-        co.k.cycle();
-        ASSERT_EQ(digest(ex.k.snapshot()), digest(co.k.snapshot()))
-            << "diverged at cycle " << c + 1;
-    }
-    // All-fast: the sleep machinery never engaged, and the attempt
-    // counts match the exhaustive scan exactly.
-    EXPECT_EQ(co.k.sleepCount(), 0u);
-    EXPECT_EQ(co.k.ruleAttemptCount(), ex.k.ruleAttemptCount());
-    EXPECT_EQ(co.k.report().compiledFastRules, uint32_t(co.k.rules().size()));
-}
-
-TEST(Compiled, RespecializationPromotesHotColdSplit)
-{
-    Kernel k;
-    k.setScheduler(SchedulerKind::Compiled);
-    k.setCompiledProfile(100);
-    Reg<uint64_t> tick(k, "tick", 0);
-    Reg<int> flag(k, "flag", 0);
-    Rule &hot = k.rule("hot", [&] { tick.write(tick.read() + 1); });
-    Rule &cold = k.rule("cold", [] {}).when([&] {
-        return flag.read() != 0;
-    });
-    k.elaborate();
-
-    k.run(300);
-    // The always-firing rule was promoted; the never-ready rule slept
-    // through the profiling prefix and stayed on the residue path.
-    EXPECT_EQ(k.compiledFastRuleCount(), 1u);
-    EXPECT_EQ(hot.firedCount(), 300u);
-    EXPECT_TRUE(cold.asleep());
-    // One attempt at the start, one after the respecialization
-    // wake-all; asleep in between and after.
-    EXPECT_EQ(cold.guardAbortCount(), 2u);
-
-    // Residue rules still wake on testbench commits to their
-    // sensitivity set — the mixed table keeps the waiter machinery.
-    EXPECT_TRUE(k.runAtomically([&] { flag.write(1); }));
-    EXPECT_FALSE(cold.asleep());
-    k.run(1);
-    EXPECT_EQ(cold.lastOutcome(), Rule::Outcome::Fired);
-}
-
-TEST(Compiled, CmEnforcementStillBlocksNonInertFastRules)
-{
-    // Same design as Scheduler.CmBlockedRuleStaysAwake, fully static
-    // compiled: both rules reach the fast path, but enq C enq makes
-    // them non-inert, so the second enq must still be CM-blocked every
-    // cycle exactly as under the checked schedulers.
-    Kernel k;
-    k.setScheduler(SchedulerKind::Compiled);
-    k.setCompiledProfile(0);
-    PipelineFifo<int> q(k, "q", 16);
-    Reg<int> src(k, "src", 0);
-    Rule &first =
-        k.rule("first", [&] { q.enq(src.read()); }).when([&] {
-            return q.canEnq();
-        }).uses({&q.enqM});
-    Rule &second =
-        k.rule("second", [&] { q.enq(src.read()); }).uses({&q.enqM});
-    k.elaborate();
-
-    k.run(5);
-    EXPECT_EQ(first.firedCount(), 5u);
-    EXPECT_EQ(second.cmAbortCount(), 5u);
-    EXPECT_EQ(second.lastOutcome(), Rule::Outcome::CmBlocked);
-}
-
-TEST(Compiled, SwitchingSchedulersMidRunStaysBitIdentical)
+TEST(Scheduler, SwitchingSchedulersMidRunStaysBitIdentical)
 {
     // Bounce one soup across every scheduler kind mid-run and digest
     // against an uninterrupted exhaustive reference each cycle.
     Soup ex(7u, SchedulerKind::Exhaustive);
-    Soup sw(7u, SchedulerKind::Compiled);
-    sw.k.setCompiledProfile(50);
+    Soup sw(7u, SchedulerKind::EventDriven);
     const SchedulerKind kinds[] = {
-        SchedulerKind::Compiled, SchedulerKind::EventDriven,
-        SchedulerKind::Compiled, SchedulerKind::Exhaustive,
-        SchedulerKind::Compiled};
+        SchedulerKind::EventDriven, SchedulerKind::Exhaustive,
+        SchedulerKind::Parallel, SchedulerKind::EventDriven,
+        SchedulerKind::Exhaustive};
     int cycleNum = 0;
     for (SchedulerKind kind : kinds) {
         sw.k.setScheduler(kind);
@@ -496,6 +394,74 @@ TEST(Compiled, SwitchingSchedulersMidRunStaysBitIdentical)
             ASSERT_EQ(digest(ex.k.snapshot()), digest(sw.k.snapshot()))
                 << "diverged at cycle " << cycleNum;
         }
+    }
+}
+
+TEST(Scheduler, CompiledKindIsRejected)
+{
+    Kernel k;
+    Reg<int> r(k, "r", 0);
+    k.rule("bump", [&] { r.write(r.read() + 1); });
+    for (bool elaborated : {false, true}) {
+        if (elaborated)
+            k.elaborate();
+        try {
+            k.setScheduler(SchedulerKind::Compiled);
+            FAIL() << "setScheduler(Compiled) did not fault";
+        } catch (const KernelFault &f) {
+            EXPECT_EQ(f.kind(), FaultKind::ApiMisuse);
+        }
+        // The rejected switch left the previous scheduler in place.
+        EXPECT_EQ(k.scheduler(), SchedulerKind::Exhaustive);
+    }
+    k.run(3);
+    EXPECT_EQ(r.read(), 3);
+
+    // A SystemConfig naming the retired kind fails the same way.
+    riscy::SystemConfig cfg = riscy::SystemConfig::riscyooB();
+    cfg.scheduler = SchedulerKind::Compiled;
+    EXPECT_THROW(riscy::System sys(cfg), KernelFault);
+}
+
+/**
+ * Requests for the retired compiled scheduler, made mid-run on the
+ * seeded soups, fault without disturbing the run: the event-driven and
+ * Parallel kernels keep their kind, keep sleeping rules, and stay on the
+ * exhaustive reference's digest trajectory every cycle.
+ */
+TEST(Scheduler, CompiledLockstepRandomSoups)
+{
+    for (uint32_t seed : {1u, 7u, 42u, 1234u}) {
+        Soup ex(seed, SchedulerKind::Exhaustive);
+        Soup ev(seed, SchedulerKind::EventDriven);
+        Soup pa(seed, SchedulerKind::Parallel);
+        for (int c = 0; c < 2000; c++) {
+            if (c % 500 == 250) {
+                for (Soup *s : {&ev, &pa}) {
+                    SchedulerKind before = s->k.scheduler();
+                    try {
+                        s->k.setScheduler(SchedulerKind::Compiled);
+                        FAIL() << "setScheduler(Compiled) did not fault";
+                    } catch (const KernelFault &f) {
+                        EXPECT_EQ(f.kind(), FaultKind::ApiMisuse);
+                    }
+                    EXPECT_EQ(s->k.scheduler(), before);
+                }
+            }
+            ex.k.cycle();
+            ev.k.cycle();
+            pa.k.cycle();
+            uint64_t dx = digest(ex.k.snapshot());
+            ASSERT_EQ(dx, digest(ev.k.snapshot()))
+                << "seed " << seed << ": event-driven diverged at cycle "
+                << c + 1;
+            ASSERT_EQ(dx, digest(pa.k.snapshot()))
+                << "seed " << seed << ": parallel diverged at cycle "
+                << c + 1;
+        }
+        EXPECT_GT(ev.k.sleepSkipCount(), 0u) << "seed " << seed;
+        EXPECT_LT(ev.k.ruleAttemptCount(), ex.k.ruleAttemptCount())
+            << "seed " << seed;
     }
 }
 
@@ -526,7 +492,7 @@ struct CommitLog {
 
 /**
  * The acceptance-criterion test: the full OOO core (RiscyOO-B config)
- * under the exhaustive, event-driven and compiled schedulers for
+ * under the exhaustive and event-driven schedulers for
  * >= 100k cycles, proven bit-identical by whole-kernel snapshot
  * digests.
  *
@@ -596,21 +562,6 @@ TEST(Scheduler, LockstepOooCore100kCycles)
     uint64_t evAttempts = sys.kernel().ruleAttemptCount() - exAttempts;
     EXPECT_GT(sys.kernel().sleepSkipCount(), 0u);
     EXPECT_LT(evAttempts, exAttempts);
-
-    // Rewind once more and replay under the compiled scheduler: the
-    // run spans the default 1024-cycle profiling prefix and then the
-    // re-specialized fast-path dispatch for the remaining ~109k
-    // cycles, all of which must stay on the same digest trajectory.
-    sys.kernel().restore(snap0);
-    sys.kernel().setScheduler(cmd::SchedulerKind::Compiled);
-    for (uint64_t c = 0; c < kTotal; c += kChunk) {
-        sys.kernel().run(kChunk);
-        ASSERT_EQ(exDigests[c / kChunk], digest(sys.kernel().snapshot()))
-            << "compiled scheduler diverged by cycle " << c + kChunk;
-    }
-    // Non-vacuity: the profile really promoted rules to the fast path.
-    EXPECT_GT(sys.kernel().compiledFastRuleCount(), 0u);
-    EXPECT_STREQ(sys.kernel().report().scheduler, "compiled");
 }
 
 /**
