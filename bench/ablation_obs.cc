@@ -167,7 +167,7 @@ main(int argc, char **argv)
 
     if (!traceDir.empty()) {
         // Short capped run with the file sinks on: CI-sized traces.
-        constexpr uint64_t kTraceCycles = 10000;
+        constexpr uint64_t kCyclesTraced = 10000;
         SystemConfig tc = allOn;
         tc.obs.pipelinePath = traceDir + "/trace.kanata";
         tc.obs.timelinePath = traceDir + "/trace_timeline.json";
@@ -175,7 +175,7 @@ main(int argc, char **argv)
         workloads::Image img = wl->build(sys, 1);
         sys.elaborate();
         sys.start(img.entry, img.satp, img.stacks);
-        sys.run(kTraceCycles); // partial run: traces, not results
+        sys.run(kCyclesTraced); // partial run: traces, not results
         if (!sys.writeTraces()) {
             std::fprintf(stderr, "FAIL: trace export to %s failed\n",
                          traceDir.c_str());

@@ -216,10 +216,9 @@ class JsonObject
 
 /**
  * Simulation-speed fields shared by every BENCH_*.json row: the host
- * wall time and the simulated instruction rate it implies. @p units
- * is retired instructions (kernel-only microbenches pass cycles —
- * their "retired unit" — so the speed trajectory stays comparable
- * across benches).
+ * wall time and the simulated rate it implies. @p units is the
+ * bench's retired unit: instructions, or cycles where a bench counts
+ * no instructions.
  */
 inline JsonObject &
 putSimSpeed(JsonObject &row, uint64_t units, uint64_t wallNs)

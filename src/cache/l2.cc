@@ -23,8 +23,8 @@ L2Cache::L2Cache(Kernel &k, const std::string &name, const Config &cfg,
       hits_(stats().counter("hits")), misses_(stats().counter("misses")),
       writebacks_(stats().counter("writebacks")),
       downgrades_(stats().counter("downgrades")),
-      eGrants_(stats().counter("eGrants")),
-      uncachedReqs_(stats().counter("uncachedReqs"))
+      uncachedReqs_(stats().counter("uncachedReqs")),
+      eGrants_(stats().counter("eGrants"))
 {
     if (children_.size() > kMaxChildren)
         cmd::fatal("%s: too many children (%zu)", name.c_str(),

@@ -121,7 +121,6 @@ FaultInjector::planCampaign(uint64_t seed, uint32_t n, uint64_t maxCycle,
         return bound ? rng() % bound : 0;
     };
 
-    uint32_t nStates = kernel_.stateCount();
     uint32_t nChannels = uint32_t(kernel_.channelPorts().size());
     uint32_t nRules = uint32_t(kernel_.rules().size());
 

@@ -5,7 +5,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <numeric>
-#include <ostream>
 #include <set>
 #include <sstream>
 
@@ -557,10 +556,8 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
         if (!r.guard_()) {
             r.last_ = Rule::Outcome::GuardFalse;
             r.guardAborts_.inc();
-#ifndef CMD_NO_OBS
             if (obs_)
                 obs_->guardFailed(r, currentCycle(), r.domain_);
-#endif
             return false;
         }
         // The guard passed: its reads are the captured sensitivity.
@@ -579,8 +576,6 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
 
     c.inRule = true;
     c.currentRule = &r;
-    Kernel *prevActive = detail::activeKernel;
-    detail::activeKernel = this;
     bool fired = false;
     try {
         r.body_();
@@ -589,10 +584,8 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
             c.fastGuardFails++;
             r.last_ = Rule::Outcome::GuardFalse;
             r.guardAborts_.inc();
-#ifndef CMD_NO_OBS
             if (obs_)
                 obs_->guardFailed(r, currentCycle(), r.domain_);
-#endif
         } else {
             fired = true;
         }
@@ -600,10 +593,8 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
         c.guardThrows++;
         r.last_ = Rule::Outcome::GuardFalse;
         r.guardAborts_.inc();
-#ifndef CMD_NO_OBS
         if (obs_)
             obs_->guardFailed(r, currentCycle(), r.domain_);
-#endif
     } catch (const CmBlock &) {
         r.last_ = Rule::Outcome::CmBlocked;
         r.cmAborts_.inc();
@@ -611,13 +602,11 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
         // A KernelFault (or foreign exception) escaping the body: roll
         // the transaction back so the design is left at its last
         // committed state, then let the driver classify the fault.
-        detail::activeKernel = prevActive;
         c.inRule = false;
         c.currentRule = nullptr;
         abortRuleEffects(c);
         throw;
     }
-    detail::activeKernel = prevActive;
     c.inRule = false;
     c.currentRule = nullptr;
 
@@ -626,10 +615,8 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
         r.last_ = Rule::Outcome::Fired;
         r.fired_.inc();
         c.noteFired(&r, currentCycle());
-#ifndef CMD_NO_OBS
         if (obs_)
             obs_->ruleFired(r, currentCycle(), r.domain_);
-#endif
     } else {
         abortRuleEffects(c);
     }
@@ -647,8 +634,6 @@ Kernel::runAtomically(const std::function<void()> &fn)
                "runAtomically() before elaboration");
     detail::CtxScope scope(&mainCtx_);
     mainCtx_.inRule = true;
-    Kernel *prevActive = detail::activeKernel;
-    detail::activeKernel = this;
     bool fired = false;
     try {
         fn();
@@ -661,12 +646,10 @@ Kernel::runAtomically(const std::function<void()> &fn)
         mainCtx_.guardThrows++;
     } catch (const CmBlock &) {
     } catch (...) {
-        detail::activeKernel = prevActive;
         mainCtx_.inRule = false;
         abortRuleEffects(mainCtx_);
         throw;
     }
-    detail::activeKernel = prevActive;
     mainCtx_.inRule = false;
     if (fired)
         commitRuleEffects(mainCtx_);
@@ -733,10 +716,8 @@ Kernel::cycle()
     }
     // Between-cycles hook: every domain is quiesced here, so the
     // observer may read any module's state (the CPI probes do).
-#ifndef CMD_NO_OBS
     if (obs_)
         obs_->cycleEnd(cycle_, fired);
-#endif
     return fired;
 }
 
@@ -1128,10 +1109,8 @@ Kernel::run(uint64_t n)
         // cycleEnd() is intentionally not invoked for window interior
         // cycles: syncStride() > 1 only when no installed observer
         // needs per-cycle hooks (KernelObserver::needsPerCycle()).
-#ifndef CMD_NO_OBS
         if (obs_)
             obs_->cycleEnd(cycle_, winFired);
-#endif
         left -= w;
     }
     return fired;
@@ -1204,7 +1183,11 @@ Kernel::computeRuleRelation(const Rule &a, const Rule &b) const
             bool viaSubcall = pa != ma || pb != mb;
             if (viaSubcall && &pa->owner() == &pb->owner())
                 continue;
-            Conflict rel = ma->owner().cm(*ma, *mb);
+            // The flat table elaborate() materialized (== owner().cm()).
+            const Module &mod = ma->owner();
+            Conflict rel = mod.cmFlat_[size_t(ma->localIndex()) *
+                                           mod.methods_.size() +
+                                       mb->localIndex()];
             switch (rel) {
               case Conflict::C:
                 anyC = true;
@@ -1606,13 +1589,11 @@ Kernel::diagnosticReport() const
            << p->occupancy() << "/" << p->channelCapacity() << '\n';
     }
     std::string out = os.str();
-#ifndef CMD_NO_OBS
     // The observability flight recorder (obs::RuleTimeline) appends
     // its last-N-events tail here, so KernelFault crash dumps that
     // embed diagnosticReport() carry it automatically.
     if (obs_)
         obs_->appendDiagnostics(out);
-#endif
     return out;
 }
 
@@ -1813,13 +1794,6 @@ std::string
 Kernel::progressReport() const
 {
     return report().text();
-}
-
-void
-Kernel::dumpStats(std::ostream &os) const
-{
-    for (const Module *m : modules_)
-        const_cast<Module *>(m)->stats().dump(os, m->name());
 }
 
 void

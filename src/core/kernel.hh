@@ -207,9 +207,7 @@ class ChannelPort
  * Observer of the kernel's fire/commit path — the hook layer the
  * observability subsystem (src/obs) plugs into. At most one observer
  * is installed per kernel; every hook site is a single null-pointer
- * check when no observer is installed, and compiles out entirely when
- * CMD_NO_OBS is defined (the REPRO_DISABLE_OBS CMake option), so the
- * hot path is provably unaffected by disabled tracing.
+ * check when no observer is installed.
  *
  * Threading contract: ruleFired/guardFailed run on whichever thread
  * executes the rule — under SchedulerKind::Parallel that is the
@@ -318,10 +316,6 @@ struct KernelReport
 };
 
 namespace detail {
-/// Kernel currently executing a rule or atomic action on this thread;
-/// lets requireFast() report a guard failure without a throw.
-inline thread_local Kernel *activeKernel = nullptr;
-
 /**
  * Zero the padding bytes of a trivially copyable value. State elements
  * canonicalize every value they store so that byte-wise snapshots (and
@@ -1100,9 +1094,6 @@ class Kernel
     void setObserver(KernelObserver *o) { obs_ = o; }
     KernelObserver *observer() const { return obs_; }
 
-    /** Dump every module's statistics group. */
-    void dumpStats(std::ostream &os) const;
-
     /**
      * Reset every module's statistics group (counters + histograms;
      * formulas are recomputed on read). Supports warmup windows: run
@@ -1133,24 +1124,10 @@ class Kernel
         detail::ExecContext *c = detail::activeCtx;
         return c && c->inRule;
     }
-    /** True while a rule attempt's read set is being captured. */
-    bool
-    trackingReads() const
-    {
-        detail::ExecContext *c = detail::activeCtx;
-        return c && c->readMode == detail::ReadMode::Capture;
-    }
     /** Slow path of StateBase::noteRead(). */
     void noteStateRead(StateBase *s, detail::ExecContext &c);
     /** Out-of-line fault path of noteStateTouched(). */
     void crossDomainTouchFault(detail::ExecContext *c, StateBase *s);
-    /** requireFast() backend: flag a no-throw guard failure. */
-    void
-    failGuardFast()
-    {
-        if (detail::ExecContext *c = detail::activeCtx)
-            c->fastGuardFail = true;
-    }
 
   private:
     friend class Module;
@@ -1334,30 +1311,11 @@ requireFast(bool cond)
 {
     if (cond)
         return true;
-    if (Kernel *k = detail::activeKernel)
-        k->failGuardFast();
-    else
+    detail::ExecContext *c = detail::activeCtx;
+    if (!c || !c->inRule)
         throw GuardFail{};
+    c->fastGuardFail = true;
     return false;
-}
-
-/**
- * Run @p f and absorb a guard failure into a status return. Meant for
- * testbench probes and speculative calls of library methods, which
- * all check their guards before staging writes; do not wrap calls
- * that stage writes before require(), as the partial staging is not
- * rolled back until the whole rule resolves.
- */
-template <typename F>
-bool
-tryGuard(F &&f)
-{
-    try {
-        f();
-        return true;
-    } catch (const GuardFail &) {
-        return false;
-    }
 }
 
 } // namespace cmd

@@ -7,22 +7,6 @@
 
 namespace cmd {
 
-namespace {
-LogLevel gLevel = LogLevel::Quiet;
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return gLevel;
-}
-
-void
-setLogLevel(LogLevel lvl)
-{
-    gLevel = lvl;
-}
-
 std::string
 vstrfmt(const char *fmt, va_list ap)
 {
@@ -88,18 +72,6 @@ inform(const char *fmt, ...)
     std::string s = vstrfmt(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "info: %s\n", s.c_str());
-}
-
-void
-trace(LogLevel lvl, const char *fmt, ...)
-{
-    if (static_cast<int>(lvl) > static_cast<int>(gLevel))
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string s = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "trace: %s\n", s.c_str());
 }
 
 } // namespace cmd

@@ -15,18 +15,6 @@
 
 namespace cmd {
 
-/** Verbosity levels for trace(). */
-enum class LogLevel : int {
-    Quiet = 0,
-    Info = 1,
-    Debug = 2,
-    Trace = 3,
-};
-
-/** Global log verbosity; messages above this level are dropped. */
-LogLevel logLevel();
-void setLogLevel(LogLevel lvl);
-
 /** printf-style formatting into a std::string. */
 std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 std::string vstrfmt(const char *fmt, va_list ap);
@@ -50,9 +38,5 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Status message for the user. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Leveled trace output, prefixed with the current level tag. */
-void trace(LogLevel lvl, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
 
 } // namespace cmd

@@ -54,19 +54,6 @@ class Reg final : public StateBase
         return stableCycle_ == kernelCycle() ? stable_ : cur_;
     }
 
-    /**
-     * Value as latched at the last parallel cycle barrier (see
-     * Kernel::registerMirror()). This is the only committed-value view
-     * another domain may take of this register: it is written solely
-     * by the barrier (main thread) and equals readStable() for the
-     * whole cycle, since the owning domain's same-cycle commits are
-     * not yet published. Bypasses noteRead() — cross-domain readers
-     * must flag themselves with detail::noteCrossRead() instead.
-     */
-    const T &readPublished() const { return published_; }
-
-    void publishMirror() override { published_ = cur_; }
-
     /** Stage a write; commits only if the enclosing rule fires. */
     void
     write(const T &v)
@@ -117,7 +104,6 @@ class Reg final : public StateBase
     T cur_;
     T staged_{};
     T stable_{};
-    T published_{}; ///< barrier-latched copy for cross-domain readers
     bool stagedValid_ = false;
     uint64_t stableCycle_ = ~0ull;
 };

@@ -14,8 +14,7 @@ namespace obs {
 /**
  * What to record and where to write it. All sinks default to off; a
  * System with every flag off installs no kernel observer at all, so
- * the disabled cost is exactly one untaken branch per hook site (and
- * zero when the tree is built with REPRO_DISABLE_OBS).
+ * the disabled cost is exactly one untaken branch per hook site.
  */
 struct ObsConfig {
     // ---- per-uop pipeline traces (Konata/Kanata sink)

@@ -1,20 +1,8 @@
 #include "ooo/rob.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace riscy {
 
 using namespace cmd;
-
-namespace {
-bool
-kTraceRob()
-{
-    static const bool on = std::getenv("RISCY_TRACE") != nullptr;
-    return on;
-}
-} // namespace
 
 Rob::Rob(Kernel &k, const std::string &name, uint32_t size)
     : Module(k, name, Conflict::CF),
@@ -142,10 +130,6 @@ Rob::wrongSpec(SpecMask deadMask)
         uint32_t i = (head_.read() + n) % size_;
         RobEntry e = arr_.read(i);
         if (e.specMask & deadMask) {
-            if (kTraceRob()) {
-                fprintf(stderr, "  robKill pc=%llx mask=%x idx=%u\n",
-                        (unsigned long long)e.pc, e.specMask, i);
-            }
             arr_.write(i, RobEntry{});
         } else {
             if (newCount != n)

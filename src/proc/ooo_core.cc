@@ -1,7 +1,6 @@
 #include "proc/ooo_core.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "isa/exec.hh"
 
@@ -11,9 +10,6 @@ using namespace cmd;
 using namespace isa;
 
 namespace {
-
-/** Trace flag, read once (getenv in a per-cycle path is measurable). */
-const bool kTrace = std::getenv("RISCY_TRACE") != nullptr;
 
 /** TLB-request / inflight-table id: LQ entries get bit 6. */
 uint8_t
@@ -31,9 +27,8 @@ memId(bool isLq, uint8_t idx)
  * roll back tracer records, and abort patterns are scheduler-specific
  * — a phantom event would break the byte-identical-across-schedulers
  * guarantee the determinism tests enforce). Disabled cost is one
- * null-pointer test; CMD_NO_OBS removes even that.
+ * null-pointer test.
  */
-#ifndef CMD_NO_OBS
 #define OBS_STAGE(seq, st)                                                 \
     do {                                                                   \
         if (tracer_)                                                       \
@@ -44,16 +39,6 @@ memId(bool isLq, uint8_t idx)
         if (tracer_)                                                       \
             tracer_->retire(robSeq_[robIdx], k_.cycleCount());             \
     } while (0)
-#else
-#define OBS_STAGE(seq, st)                                                 \
-    do {                                                                   \
-        (void)(seq);                                                       \
-    } while (0)
-#define OBS_RETIRE(robIdx)                                                 \
-    do {                                                                   \
-        (void)(robIdx);                                                    \
-    } while (0)
-#endif
 
 OooCore::OooCore(Kernel &k, const std::string &name, uint32_t hartId,
                  const CoreConfig &cfg, L1Cache &icache, L1Cache &dcache,
@@ -705,13 +690,6 @@ OooCore::doFetch1()
     fr.epoch = epoch_->current();
     fr.seq = fetchSeq_.read();
     fr.fetchCycle = k_.cycleCount();
-    if (kTrace) {
-        fprintf(stderr, "[%llu] fetch1 pc=%llx n=%u next=%llx ep=%u "
-                "seq=%u\n",
-                (unsigned long long)k_.cycleCount(),
-                (unsigned long long)pc, n, (unsigned long long)next,
-                fr.epoch, fr.seq);
-    }
     fetchSeq_.write((fetchSeq_.read() + 1) & 7);
     itlb_->req(0, pc, AccessType::Fetch);
     f2q_->enq(fr);
@@ -751,11 +729,6 @@ OooCore::doFetch3()
             require(fetchResp_.read(fr.seq).valid);
             fetchResp_.write(fr.seq, RespSlot{});
         }
-        if (kTrace) {
-            fprintf(stderr, "[%llu] fetch3 stale pc=%llx seq=%u\n",
-                    (unsigned long long)k_.cycleCount(),
-                    (unsigned long long)fr.pc, fr.seq);
-        }
         f3q_->deq();
         return;
     }
@@ -783,7 +756,10 @@ OooCore::doFetch3()
     bool redirect = false;
     uint64_t redirectTo = 0;
 
-    for (uint32_t i = 0; i < fr.n; i++) {
+    // fetch1 never groups more than kMaxWidth slots; the clamp makes
+    // the bound on group[] visible to the compiler.
+    const uint32_t slots = std::min<uint32_t>(fr.n, kMaxWidth);
+    for (uint32_t i = 0; i < slots; i++) {
         uint64_t pc = fr.pc + 4 * i;
         uint32_t raw =
             static_cast<uint32_t>(line.read(lineOffset(pc), 4));
@@ -839,13 +815,6 @@ OooCore::doFetch3()
         epoch_->resteer(redirectTo);
         fetchRedirects_->inc();
     }
-    if (kTrace) {
-        fprintf(stderr, "[%llu] fetch3 pc=%llx n=%u redir=%d to=%llx "
-                "seq=%u\n",
-                (unsigned long long)k_.cycleCount(),
-                (unsigned long long)fr.pc, n, redirect,
-                (unsigned long long)redirectTo, fr.seq);
-    }
     instQ_->enqGroup(group, n);
     fetchResp_.write(fr.seq, RespSlot{});
     f3q_->deq();
@@ -859,7 +828,6 @@ OooCore::doRename()
     uint32_t qn = instQ_->size();
     uint32_t consumed = 0;
     uint32_t m = 0;
-#ifndef CMD_NO_OBS
     // Trace seq ids are pre-assigned from the tracer's next-id so the
     // Uop copies entering the issue queues below carry them; the
     // actual create() calls happen at the end of the body (see the
@@ -867,7 +835,6 @@ OooCore::doRename()
     // exactly these ids.
     const uint64_t seqBase = tracer_ ? tracer_->created() : 0;
     uint32_t traceN = 0;
-#endif
 
     RobEntry entries[kMaxWidth];
     struct Placed {
@@ -948,10 +915,8 @@ OooCore::doRename()
             }
             e.fetchCycle = u.fetchCycle;
             u.rob = rob_->enqIndex(0);
-#ifndef CMD_NO_OBS
             if (tracer_)
                 u.seq = seqBase + ++traceN;
-#endif
             entries[0] = e;
             placed[0] = {u, 0, false, false};
             serialPending_.write(true);
@@ -1049,19 +1014,10 @@ OooCore::doRename()
         e.specTag = u.specTag;
         e.hasSpecTag = u.hasSpecTag;
         e.fetchCycle = u.fetchCycle;
-#ifndef CMD_NO_OBS
         if (tracer_)
             u.seq = seqBase + ++traceN;
-#endif
         entries[m] = e;
         placed[m] = {u, iq, rdy1, rdy2};
-        if (kTrace) {
-            fprintf(stderr, "[%llu] rename pc=%llx %s mask=%x tag=%d "
-                    "rob=%u\n",
-                    (unsigned long long)k_.cycleCount(),
-                    (unsigned long long)u.pc, opName(ins.op), u.specMask,
-                    u.hasSpecTag ? u.specTag : -1, u.rob);
-        }
         m++;
         consumed++;
     }
@@ -1123,7 +1079,6 @@ OooCore::doRename()
     }
     instQ_->deqN(consumed);
 
-#ifndef CMD_NO_OBS
     if (tracer_ && m > 0) {
         const uint64_t now = k_.cycleCount();
         for (uint32_t i = 0; i < m; i++) {
@@ -1141,7 +1096,6 @@ OooCore::doRename()
                 tracer_->mapSq(u.lsqIdx, s);
         }
     }
-#endif
 }
 
 // --------------------------------------------------------- ALU pipelines
@@ -1262,9 +1216,7 @@ OooCore::doExec(uint32_t p)
     uint64_t res = 0;
     uint64_t actualNext = u.pc + 4;
     bool taken = false;
-#ifndef CMD_NO_OBS
     SpecMask deadForObs = 0; // squashed mask, recorded at body end
-#endif
 
     if (ins.isBranch()) {
         taken = branchTaken(ins, u.a, u.b);
@@ -1289,16 +1241,6 @@ OooCore::doExec(uint32_t p)
             SpecMask bit = static_cast<SpecMask>(1u << u.specTag);
             if (mispredict) {
                 SpecMask dead = specMgr_->squash(u.specTag);
-                if (kTrace) {
-                    fprintf(stderr,
-                            "[%llu] mispredict pc=%llx pred=%llx "
-                            "actual=%llx tag=%u dead=%x\n",
-                            (unsigned long long)k_.cycleCount(),
-                            (unsigned long long)u.pc,
-                            (unsigned long long)u.predNext,
-                            (unsigned long long)actualNext, u.specTag,
-                            dead);
-                }
                 applyWrongSpec(dead);
                 rt_->rollback(u.specTag);
                 fl_->rollback(u.specTag);
@@ -1306,9 +1248,7 @@ OooCore::doExec(uint32_t p)
                 fetchGhr_.write(static_cast<uint16_t>(
                     (u.ghist << 1) | (taken ? 1 : 0)));
                 mispredicts_->inc();
-#ifndef CMD_NO_OBS
                 deadForObs = dead;
-#endif
             } else {
                 specMgr_->commit(u.specTag);
                 applyCorrectSpec(bit);
@@ -1333,13 +1273,11 @@ OooCore::doExec(uint32_t p)
     aluWbq_[p]->enq(u);
     aluExq_[p]->deq();
     OBS_STAGE(u.seq, Execute);
-#ifndef CMD_NO_OBS
     if (deadForObs) {
         mispredRecover_ = true;
         if (tracer_)
             tracer_->squashMask(deadForObs, k_.cycleCount());
     }
-#endif
 }
 
 void
@@ -1501,11 +1439,9 @@ OooCore::completeLoad(uint8_t lqIdx, uint64_t value)
         iq->wakeup(pd);
     mdIq_->wakeup(pd);
     memIq_->wakeup(pd);
-#ifndef CMD_NO_OBS
     if (tracer_)
         tracer_->stage(tracer_->lqSeq(lqIdx), obs::Stage::Writeback,
                        k_.cycleCount());
-#endif
 }
 
 void
@@ -1822,15 +1758,6 @@ OooCore::doCommit()
                 rt_->spec(i0.rs1));
         bool readOk = cs.read(i0.csr, k_.cycleCount(), instret_.read(),
                               hartId_, old);
-        if (kTrace) {
-            fprintf(stderr, "[%llu] csr commit pc=%llx %s csr=%x rs1=%u "
-                    "ps=%u operand=%llx old=%llx\n",
-                    (unsigned long long)k_.cycleCount(),
-                    (unsigned long long)e0.pc, opName(i0.op), i0.csr,
-                    i0.rs1, rt_->spec(i0.rs1),
-                    (unsigned long long)operand,
-                    (unsigned long long)old);
-        }
         bool doWrite = (i0.op == Op::CSRRW || i0.op == Op::CSRRWI) ||
                        ((i0.op == Op::CSRRS || i0.op == Op::CSRRSI ||
                          i0.op == Op::CSRRC || i0.op == Op::CSRRCI) &&
@@ -1989,11 +1916,9 @@ OooCore::doFlush()
     epoch_->redirect(f.redirectPc);
     serialPending_.write(false);
     flushReq_.write(FlushReq{});
-#ifndef CMD_NO_OBS
     flushRecover_ = true;
     if (tracer_)
         tracer_->squashAll(k_.cycleCount());
-#endif
 }
 
 // --------------------------------------------------------- observability
@@ -2001,13 +1926,11 @@ OooCore::doFlush()
 void
 OooCore::obsCycle()
 {
-#ifndef CMD_NO_OBS
     if (cpiMuted_)
         return; // sampled-mode warmup window: keep measured stats pure
     robOccupancy_->sample(rob_->count());
     if (cpiStack_)
         cpiStack_->attribute(classifyCycle());
-#endif
 }
 
 /*

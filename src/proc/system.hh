@@ -124,9 +124,6 @@ class System
 
     uint64_t instret(uint32_t i) const;
     void setOnCommit(uint32_t i, std::function<void(const CommitRecord &)>);
-    OooCore &ooo(uint32_t i) { return *oooCores_[i]; }
-    InOrderCore &inOrder(uint32_t i) { return *ioCores_[i]; }
-    bool isInOrder() const { return cfg_.inOrder; }
 
     /** Headline per-hart event counts for the benchmark harness. */
     struct EventCounts {

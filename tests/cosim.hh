@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "asmkit/assembler.hh"
+#include "core/harden.hh"
 #include "isa/golden.hh"
 #include "proc/system.hh"
 
@@ -20,6 +22,13 @@ using namespace riscy::asmkit;
 
 constexpr Addr kEntry = kDramBase;
 constexpr Addr kStackTop = kDramBase + 0x200000;
+
+/** FNV-1a digest of a kernel snapshot (the lockstep cosim tests' key). */
+inline uint64_t
+digest(const std::vector<uint8_t> &bytes)
+{
+    return cmd::CheckpointManager::fnv1a(bytes.data(), bytes.size());
+}
 
 /** Emit "shift a0, set exit bit, store to host EXIT, spin". */
 inline void

@@ -22,15 +22,9 @@
 #include "cosim.hh"
 
 using namespace cmd;
+using riscy::test::digest;
 
 namespace {
-
-/** FNV-1a over a snapshot buffer. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    return CheckpointManager::fnv1a(bytes.data(), bytes.size());
-}
 
 /** Temp file path unique to this test process. */
 std::string

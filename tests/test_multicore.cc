@@ -19,18 +19,6 @@ namespace {
 
 constexpr Addr kData = kEntry + 0x40000;
 
-/** FNV-1a over a snapshot buffer. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 /** Emit "exit with code in a0" (per-hart). */
 void
 exitWith(Assembler &a)

@@ -16,22 +16,7 @@
 #include "cosim.hh"
 
 using namespace cmd;
-
-namespace {
-
-/** FNV-1a over a snapshot buffer. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
+using riscy::test::digest;
 
 /**
  * A TimedFifo between two hint groups is a domain boundary: the two

@@ -15,22 +15,7 @@
 #include "cosim.hh"
 
 using namespace cmd;
-
-namespace {
-
-/** FNV-1a over a snapshot buffer. */
-uint64_t
-digest(const std::vector<uint8_t> &bytes)
-{
-    uint64_t h = 1469598103934665603ull;
-    for (uint8_t b : bytes) {
-        h ^= b;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
+using riscy::test::digest;
 
 TEST(Scheduler, SleepsOnFalseGuardAndWakesOnRuleCommit)
 {
@@ -177,12 +162,22 @@ TEST(Scheduler, GuardedBodyImplicitFailStaysAwake)
                    require(false);
                    out.write(1);
                }).when([&] { return gate.read() != 0; });
+    // Same for the no-throw form of the implicit guard.
+    Rule &fast = k.rule("fastHalfway", [&] {
+                      if (!requireFast(false))
+                          return;
+                      out.write(1);
+                  }).when([&] { return gate.read() != 0; });
     k.elaborate();
 
     k.run(3);
     EXPECT_FALSE(r.asleep());
     EXPECT_EQ(r.guardAbortCount(), 3u);
     EXPECT_GE(k.guardThrowCount(), 3u);
+    EXPECT_FALSE(fast.asleep());
+    EXPECT_EQ(fast.guardAbortCount(), 3u);
+    EXPECT_EQ(k.fastGuardFailCount(), 3u);
+    EXPECT_EQ(out.read(), 0);
 }
 
 TEST(Scheduler, RequireFastSkipsTheThrow)
@@ -203,6 +198,29 @@ TEST(Scheduler, RequireFastSkipsTheThrow)
     EXPECT_EQ(out.read(), 2u); // fired at tick==0 and tick==4
     EXPECT_EQ(k.guardThrowCount(), 0u);
     EXPECT_GT(k.fastGuardFailCount(), 0u);
+
+    // Inside runAtomically a failed requireFast() aborts the action
+    // without a throw and discards what it staged.
+    const uint64_t fastFails = k.fastGuardFailCount();
+    const uint64_t before = out.read();
+    bool done = true;
+    EXPECT_NO_THROW(done = k.runAtomically([&] {
+        out.write(out.read() + 100);
+        if (!requireFast(false))
+            return;
+    }));
+    EXPECT_FALSE(done);
+    EXPECT_EQ(out.read(), before);
+    EXPECT_EQ(k.fastGuardFailCount(), fastFails + 1);
+    EXPECT_EQ(k.guardThrowCount(), 0u);
+    // A passing check commits as usual.
+    EXPECT_TRUE(k.runAtomically([&] {
+        if (!requireFast(true))
+            return;
+        out.write(out.read() + 1);
+    }));
+    EXPECT_EQ(out.read(), before + 1);
+    EXPECT_EQ(k.fastGuardFailCount(), fastFails + 1);
 
     // Outside any rule or atomic action it degrades to require().
     EXPECT_THROW(requireFast(false), GuardFail);

@@ -286,9 +286,10 @@ TEST(Kv, ArrivalScheduleDeterministicAcrossSeeds)
         EXPECT_EQ(a.requests()[i].put, b.requests()[i].put);
         // Round-robin hart assignment, arrivals monotone per hart.
         EXPECT_EQ(a.requests()[i].hart, i % 4);
-        if (i >= 4)
+        if (i >= 4) {
             EXPECT_GE(a.requests()[i].arrival,
                       a.requests()[i - 4].arrival);
+        }
     }
     cfg.seed = 43;
     server::KvHost c(cfg);
