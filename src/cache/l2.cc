@@ -250,11 +250,11 @@ L2Cache::upgradeGrant(const DirEntry &d, int child, Msi want) const
     return Msi::E;
 }
 
-uint32_t
+std::bitset<L2Cache::kMaxChildren>
 L2Cache::computeTargets(uint32_t sl, int child, Msi want, Msi &downTo) const
 {
     const DirEntry &d = dir_.read(sl);
-    uint32_t mask = 0;
+    std::bitset<kMaxChildren> mask;
     downTo = want >= Msi::E ? Msi::I : Msi::S;
     for (uint32_t c = 0; c < children_.size(); c++) {
         if (static_cast<int>(c) == child)
@@ -263,7 +263,7 @@ L2Cache::computeTargets(uint32_t sl, int child, Msi want, Msi &downTo) const
         // A child at E may have silently upgraded to M, so reads must
         // recall any >=E holder (data travels with the ack).
         if (want >= Msi::E ? st != Msi::I : st >= Msi::E)
-            mask |= 1u << c;
+            mask[c] = true;
     }
     return mask;
 }
@@ -366,8 +366,9 @@ L2Cache::ruleStartTxn()
     if (way >= 0 && !wayBusy_.read(slot(setOf(line), way))) {
         uint32_t sl = slot(setOf(line), way);
         Msi downTo;
-        uint32_t targets = computeTargets(sl, child, want, downTo);
-        if (targets == 0) {
+        std::bitset<kMaxChildren> targets =
+            computeTargets(sl, child, want, downTo);
+        if (targets.none()) {
             // Fast-path grant, no transaction entry needed.
             if (child < 0) {
                 uncached_[port]->resp.enq({line, data_.read(sl)});
@@ -396,7 +397,7 @@ L2Cache::ruleStartTxn()
             return;
         uint8_t n = 0;
         for (uint32_t c = 0; c < children_.size(); c++) {
-            if (targets & (1u << c)) {
+            if (targets[c]) {
                 FromParent dreq;
                 dreq.kind = FromParentKind::DowngradeReq;
                 dreq.line = line;

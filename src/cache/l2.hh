@@ -16,6 +16,8 @@
  */
 #pragma once
 
+#include <bitset>
+
 #include "cache/l1.hh"
 #include "mem/dram.hh"
 
@@ -156,9 +158,10 @@ class L2Cache : public cmd::Module
     void ruleTxnStep();
     void ruleDramResp();
 
-    /** Downgrade targets for a hit on @p line requested by @p child. */
-    uint32_t computeTargets(uint32_t sl, int child, Msi want,
-                            Msi &downTo) const;
+    /** Downgrade targets for a hit on @p line requested by @p child,
+     *  one bit per child. */
+    std::bitset<kMaxChildren> computeTargets(uint32_t sl, int child,
+                                             Msi want, Msi &downTo) const;
 
     Config cfg_;
     uint32_t sets_, ways_;

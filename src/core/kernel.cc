@@ -275,10 +275,8 @@ Module::noteRuleCall(uint64_t bit)
 
 // --------------------------------------------------------------------- Rule
 
-Rule::Rule(Kernel &kernel, std::string name, std::function<void()> body,
-           uint32_t prio)
-    : kernel_(kernel), name_(std::move(name)), body_(std::move(body)),
-      prio_(prio)
+Rule::Rule(Kernel &kernel, std::string name, std::function<void()> body)
+    : kernel_(kernel), name_(std::move(name)), body_(std::move(body))
 {
 }
 
@@ -414,8 +412,7 @@ Kernel::rule(const std::string &name, std::function<void()> body)
 {
     if (elaborated_)
         kfault(FaultKind::ApiMisuse, name, "rule created after elaboration");
-    rules_.emplace_back(Rule(*this, name, std::move(body),
-                             static_cast<uint32_t>(rules_.size())));
+    rules_.emplace_back(Rule(*this, name, std::move(body)));
     rulePtrs_.push_back(&rules_.back());
     rules_.back().hintGroup_ = hintStack_.back();
     return rules_.back();
@@ -933,7 +930,7 @@ Kernel::runParallelWindow(uint32_t width)
     barrierWaitNs_ += nsSince(t0);
     // Per-domain sync wait: time between a domain finishing its
     // window and the barrier releasing (all domains done) — the
-    // imbalance cost progressReport()/Perfetto surface per domain.
+    // imbalance cost report()/Perfetto surface per domain.
     uint64_t releaseNs = uint64_t(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
@@ -1588,13 +1585,7 @@ Kernel::diagnosticReport() const
         os << "channel " << p->channelName() << ": occupancy "
            << p->occupancy() << "/" << p->channelCapacity() << '\n';
     }
-    std::string out = os.str();
-    // The observability flight recorder (obs::RuleTimeline) appends
-    // its last-N-events tail here, so KernelFault crash dumps that
-    // embed diagnosticReport() carry it automatically.
-    if (obs_)
-        obs_->appendDiagnostics(out);
-    return out;
+    return os.str();
 }
 
 std::vector<uint8_t>
@@ -1743,57 +1734,6 @@ KernelReport::text() const
         }
     }
     return os.str();
-}
-
-std::string
-KernelReport::json() const
-{
-    std::ostringstream os;
-    os << "{\"scheduler\": \"" << scheduler << "\", \"cycle\": " << cycle
-       << ", \"domains\": " << domains << ", \"attempts\": " << attempts
-       << ", \"sleep_skips\": " << sleepSkips << ", \"sleeps\": " << sleeps
-       << ", \"wakes\": " << wakes << ", \"guard_throws\": " << guardThrows
-       << ", \"fast_guard_fails\": " << fastGuardFails;
-    if (threads) {
-        os << ", \"threads\": " << threads
-           << ", \"parallel_cycles\": " << parallelCycles
-           << ", \"barrier_wait_ns\": " << barrierWaitNs
-           << ", \"sync_epochs\": " << syncEpochs
-           << ", \"lookahead\": " << lookahead;
-    }
-    os << ", \"rules\": [";
-    for (size_t i = 0; i < rules.size(); i++) {
-        const RuleLine &r = rules[i];
-        os << (i ? ", " : "") << "{\"name\": \"" << jsonEscape(r.name)
-           << "\", \"last\": \"" << r.outcome << "\", \"fired\": " << r.fired
-           << ", \"guard_aborts\": " << r.guardAborts
-           << ", \"cm_aborts\": " << r.cmAborts
-           << ", \"domain\": " << r.domain << "}";
-    }
-    os << "]";
-    if (!domainLines.empty()) {
-        os << ", \"domain_detail\": [";
-        for (size_t i = 0; i < domainLines.size(); i++) {
-            const DomainLine &d = domainLines[i];
-            os << (i ? ", " : "") << "{\"id\": " << d.id << ", \"name\": \""
-               << jsonEscape(d.name) << "\", \"rules\": " << d.rules
-               << ", \"attempts\": " << d.attempts
-               << ", \"fired\": " << d.fired << ", \"sleeps\": " << d.sleeps
-               << ", \"wakes\": " << d.wakes
-               << ", \"sleep_skips\": " << d.sleepSkips
-               << ", \"exec_ns\": " << d.execNs
-               << ", \"sync_wait_ns\": " << d.syncWaitNs << "}";
-        }
-        os << "]";
-    }
-    os << "}";
-    return os.str();
-}
-
-std::string
-Kernel::progressReport() const
-{
-    return report().text();
 }
 
 void

@@ -213,8 +213,8 @@ class ChannelPort
  * executes the rule — under SchedulerKind::Parallel that is the
  * domain's worker thread, so implementations must only touch state
  * owned by the rule's domain (@p domain is the rule's elaborated
- * domain, stable across schedulers). cycleEnd and appendDiagnostics
- * run on the driving thread between cycles.
+ * domain, stable across schedulers). cycleEnd runs on the driving
+ * thread between cycles.
  */
 class KernelObserver
 {
@@ -241,8 +241,6 @@ class KernelObserver
         (void)cycle;
         (void)fired;
     }
-    /** Extra text for Kernel::diagnosticReport() (crash dumps). */
-    virtual void appendDiagnostics(std::string &out) const { (void)out; }
     /**
      * Return false to let the parallel scheduler run multi-cycle sync
      * windows. When any installed observer needs cycleEnd() called at
@@ -255,10 +253,9 @@ class KernelObserver
 };
 
 /**
- * Machine-readable snapshot of the scheduler's progress state: what
- * progressReport() used to render straight to text. Built from the
- * per-rule outcome/counter state plus the per-context scheduler
- * counters; render with text() (the human format) or json().
+ * Machine-readable snapshot of the scheduler's progress state, built
+ * from the per-rule outcome/counter state plus the per-context
+ * scheduler counters; text() renders it for humans.
  */
 struct KernelReport
 {
@@ -309,10 +306,8 @@ struct KernelReport
     std::vector<RuleLine> rules;
     std::vector<DomainLine> domainLines;
 
-    /** The historical progressReport() text format. */
+    /** One line per rule, then the scheduler counter lines. */
     std::string text() const;
-    /** One JSON object (rules array + scheduler counters). */
-    std::string json() const;
 };
 
 namespace detail {
@@ -370,7 +365,7 @@ enum class ReadMode : uint8_t {
  */
 /// Depth of the per-context recently-fired ring buffer (watchdog
 /// crash dumps show the merged tail of these).
-constexpr uint32_t kFireRingSize = 32;
+constexpr uint32_t kFireRingSize = 64;
 
 struct ExecContext
 {
@@ -808,8 +803,7 @@ class Rule
   private:
     friend class Kernel;
 
-    Rule(Kernel &kernel, std::string name, std::function<void()> body,
-         uint32_t prio);
+    Rule(Kernel &kernel, std::string name, std::function<void()> body);
 
     Kernel &kernel_;
     std::string name_;
@@ -819,7 +813,6 @@ class Rule
     /// transitive method set as (method, declared ancestor) pairs
     std::vector<std::pair<const Method *, const Method *>> closure_;
     bool enabled_ = true;
-    uint32_t prio_;  // registration order; schedule tiebreak
     uint32_t id_ = 0;
     Stat fired_, guardAborts_, cmAborts_;
     Outcome last_ = Outcome::NotTried;
@@ -1012,7 +1005,7 @@ class Kernel
      */
     void setParallelMainParticipates(bool p) { mainParticipates_ = p; }
 
-    // ---- scheduler observability (see progressReport())
+    // ---- scheduler observability (see report())
     /** Rule attempts actually dispatched (guard + body). */
     uint64_t ruleAttemptCount() const;
     /** Attempts skipped because the rule was asleep. */
@@ -1078,13 +1071,10 @@ class Kernel
 
     /**
      * Structured scheduler-progress report (per-rule outcomes and
-     * counters, per-domain scheduler state). progressReport() is its
-     * text rendering; report().json() the machine-readable one.
+     * counters, per-domain scheduler state); report().text() is the
+     * human-readable rendering.
      */
     KernelReport report() const;
-
-    /** Human-readable report of each rule's last outcome and stats. */
-    std::string progressReport() const;
 
     /**
      * Install (or, with null, remove) the fire/commit-path observer.

@@ -149,8 +149,8 @@ class GoldenModel
     /**
      * Record every leaf translation installed into the page caches
      * (fetch/load/store page changes) — the TLB-warming companion of
-     * the touch journal. Replay with OooCore/InOrderCore::warmTlbs.
-     * nullptr disables.
+     * the touch journal. Replay with OooCore::warmTlbs. nullptr
+     * disables.
      */
     void setXlateJournal(std::vector<XlateRec> *j) { xlateJournal_ = j; }
 
@@ -158,8 +158,7 @@ class GoldenModel
      * Record every executed control transfer (branch direction and
      * target, JAL/JALR with their RAS-relevant registers) in program
      * order — the predictor-warming companion of the touch journal.
-     * Replay with OooCore/InOrderCore::warmPredictors. nullptr
-     * disables.
+     * Replay with OooCore::warmPredictors. nullptr disables.
      */
     void setBranchJournal(std::vector<BranchRec> *j) { branchJournal_ = j; }
 

@@ -5,20 +5,16 @@ namespace obs {
 ObsHub::ObsHub(cmd::Kernel &k, const ObsConfig &cfg, uint32_t numCores)
     : k_(k), cfg_(cfg)
 {
-    // The timeline doubles as the crash-dump flight recorder, so it
-    // exists whenever a hub does; the file sink (event retention) is
-    // sized to zero when timeline tracing is off.
-    timeline_ = std::make_unique<RuleTimeline>(
-        k, cfg_.timeline ? cfg_.maxTimelineEvents : 0,
-        cfg_.timeline && cfg_.timelineGuardFails);
+    if (cfg_.timeline)
+        timeline_ =
+            std::make_unique<RuleTimeline>(k, cfg_.timelineGuardFails);
 
     pipes_.resize(numCores);
     cpis_.resize(numCores);
     for (uint32_t h = 0; h < numCores; h++) {
-        if (cfg_.pipeline && cfg_.traceCore(h))
-            pipes_[h] =
-                std::make_unique<PipelineTracer>(h, cfg_.maxPipelineUops);
-        if (cfg_.cpi && cfg_.traceCore(h))
+        if (cfg_.pipeline)
+            pipes_[h] = std::make_unique<PipelineTracer>(h);
+        if (cfg_.cpi)
             cpis_[h] = std::make_unique<CpiStack>();
     }
     k_.setObserver(this);
@@ -48,7 +44,7 @@ ObsHub::finish()
         }
         ok &= KonataWriter::writeFile(cfg_.pipelinePath, cores);
     }
-    if (cfg_.timeline && !cfg_.timelinePath.empty())
+    if (timeline_ && !cfg_.timelinePath.empty())
         ok &= timeline_->writeFile(cfg_.timelinePath);
     return ok;
 }
@@ -56,13 +52,14 @@ ObsHub::finish()
 void
 ObsHub::ruleFired(const cmd::Rule &r, uint64_t cycle, uint32_t domain)
 {
-    timeline_->record(r, cycle, domain, false);
+    if (timeline_)
+        timeline_->record(r, cycle, domain, false);
 }
 
 void
 ObsHub::guardFailed(const cmd::Rule &r, uint64_t cycle, uint32_t domain)
 {
-    if (cfg_.timeline && cfg_.timelineGuardFails)
+    if (timeline_)
         timeline_->record(r, cycle, domain, true);
 }
 
@@ -72,13 +69,6 @@ ObsHub::cycleEnd(uint64_t cycle, uint32_t fired)
     (void)fired;
     if (postHook_)
         postHook_(cycle);
-}
-
-void
-ObsHub::appendDiagnostics(std::string &out) const
-{
-    out += "\n";
-    out += timeline_->flightRecorderText();
 }
 
 } // namespace obs

@@ -3,17 +3,18 @@
  * ObsHub: the one KernelObserver a System installs. Routes kernel
  * hook callbacks to the configured sinks:
  *
- *  - ruleFired/guardFailed -> RuleTimeline (Perfetto export + the
- *    crash-dump flight recorder, which is live whenever a hub is
- *    installed even with the timeline file sink off);
+ *  - ruleFired/guardFailed -> RuleTimeline (Perfetto export; built
+ *    only when the timeline sink is on);
  *  - cycleEnd -> a post-cycle hook the System uses for CPI-stack
  *    sampling and the warmup stats reset (runs on the driving thread
- *    between cycles, when every domain is quiesced);
- *  - appendDiagnostics -> flight-recorder tail into KernelFault dumps.
+ *    between cycles, when every domain is quiesced).
  *
- * It also owns the per-core PipelineTracer and CpiStack instances; the
- * cores hold raw pointers (null when their hart is not traced) and
- * call them directly from rule bodies.
+ * Crash dumps carry the kernel's own recently-fired rings
+ * (Kernel::diagnosticReport()); the hub adds nothing to them.
+ *
+ * It also owns the per-core PipelineTracer and CpiStack instances,
+ * one per hart when the sink is on; the cores hold raw pointers (null
+ * when the sink is off) and call them directly from rule bodies.
  */
 #pragma once
 
@@ -39,7 +40,7 @@ class ObsHub final : public cmd::KernelObserver
     ObsHub(const ObsHub &) = delete;
     ObsHub &operator=(const ObsHub &) = delete;
 
-    /** Per-hart sink pointers; null when the sink or hart is off. */
+    /** Per-hart sink pointers; null when the sink is off. */
     PipelineTracer *pipeline(uint32_t hart)
     {
         return hart < pipes_.size() ? pipes_[hart].get() : nullptr;
@@ -52,6 +53,7 @@ class ObsHub final : public cmd::KernelObserver
     {
         return hart < cpis_.size() ? cpis_[hart].get() : nullptr;
     }
+    /** Null when the timeline sink is off. */
     RuleTimeline *timeline() { return timeline_.get(); }
 
     /** Called from cycleEnd (between cycles, driving thread). */
@@ -75,11 +77,10 @@ class ObsHub final : public cmd::KernelObserver
     void guardFailed(const cmd::Rule &r, uint64_t cycle,
                      uint32_t domain) override;
     void cycleEnd(uint64_t cycle, uint32_t fired) override;
-    void appendDiagnostics(std::string &out) const override;
     /**
      * The hub itself never needs per-cycle callbacks — ruleFired /
-     * guardFailed carry exact cycle numbers, so the timeline, flight
-     * recorder, and pipeline tracers are window-safe. Only an
+     * guardFailed carry exact cycle numbers, so the timeline and
+     * pipeline tracers are window-safe. Only an
      * installed post-cycle hook (CPI sampling, warmup reset) forces
      * the parallel scheduler back to per-cycle sync.
      */

@@ -19,11 +19,8 @@ namespace obs {
 struct ObsConfig {
     // ---- per-uop pipeline traces (Konata/Kanata sink)
     bool pipeline = false;
-    /** Output file for the merged Konata trace of every traced core. */
+    /** Output file for the merged Konata trace of every core. */
     std::string pipelinePath = "trace.kanata";
-    /** Stop tracing new uops past this many per core (memory bound);
-     *  drops are counted and reported, never silent. */
-    uint64_t maxPipelineUops = 1u << 20;
 
     // ---- rule/domain timeline (Chrome/Perfetto trace-event sink)
     bool timeline = false;
@@ -36,19 +33,10 @@ struct ObsConfig {
     * schedulers guarantee of the timeline holds only for fire events.
      */
     bool timelineGuardFails = false;
-    /** Per-domain cap on recorded timeline events (memory bound). */
-    uint64_t maxTimelineEvents = 1u << 22;
 
     // ---- top-down CPI stacks (commit-point cycle attribution)
     bool cpi = false;
 
-    /** Cores to trace (bit per hart); CPI and pipeline sinks only. */
-    uint32_t coreMask = 0xffffffffu;
-
-    bool traceCore(uint32_t hart) const
-    {
-        return hart < 32 && ((coreMask >> hart) & 1u);
-    }
     /** Anything enabled that needs an installed kernel observer? */
     bool enabled() const { return pipeline || timeline || cpi; }
 };

@@ -36,7 +36,7 @@ uint64_t
 PipelineTracer::create(uint64_t pc, const std::string &label,
                        uint64_t fetchCycle, uint64_t nowCycle)
 {
-    if (recs_.size() >= maxUops_) {
+    if (recs_.size() >= kMaxUops) {
         dropped_++;
         return 0;
     }

@@ -43,10 +43,11 @@ const char *stageName(Stage s);
 class PipelineTracer
 {
   public:
-    PipelineTracer(uint32_t hartId, uint64_t maxUops)
-        : hartId_(hartId), maxUops_(maxUops)
-    {
-    }
+    /** Stop tracing new uops past this many per core (memory bound);
+     *  drops are counted and reported, never silent. */
+    static constexpr uint64_t kMaxUops = 1u << 20;
+
+    explicit PipelineTracer(uint32_t hartId) : hartId_(hartId) {}
 
     uint32_t hartId() const { return hartId_; }
 
@@ -118,7 +119,6 @@ class PipelineTracer
     void finishRec(Rec &r, uint8_t state, uint64_t cycle);
 
     uint32_t hartId_;
-    uint64_t maxUops_;
     uint64_t retired_ = 0;
     uint64_t squashed_ = 0;
     uint64_t dropped_ = 0;

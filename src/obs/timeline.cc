@@ -1,6 +1,5 @@
 #include "obs/timeline.hh"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -9,17 +8,14 @@
 
 namespace obs {
 
-RuleTimeline::RuleTimeline(const cmd::Kernel &k, uint64_t maxEventsPerDomain,
-                           bool recordGuardFails)
-    : k_(k), maxEvents_(maxEventsPerDomain), guardFails_(recordGuardFails)
+RuleTimeline::RuleTimeline(const cmd::Kernel &k, bool recordGuardFails)
+    : k_(k), guardFails_(recordGuardFails)
 {
     bufs_.resize(k.domainCount() ? k.domainCount() : 1);
     const auto &sched = k.scheduleOrder();
     ruleNames_.reserve(sched.size());
     for (uint32_t i = 0; i < sched.size(); i++)
         ruleNames_.push_back(sched[i]->name());
-    for (auto &b : bufs_)
-        b.flight.resize(kFlightRing);
 }
 
 void
@@ -36,20 +32,11 @@ RuleTimeline::record(const cmd::Rule &r, uint64_t cycle, uint32_t domain,
     if (domain >= bufs_.size())
         domain = 0;
     DomainBuf &b = bufs_[domain];
-    Ev e{cycle, pos, guardFail};
-    if (!guardFail) {
-        b.flight[b.flightNext] = e;
-        b.flightNext = (b.flightNext + 1) % kFlightRing;
-        b.flightCount++;
-    }
-    if (b.events.size() >= maxEvents_) {
-        // maxEvents_ == 0 means flight-recorder-only mode (no file
-        // sink), which is not a drop worth reporting.
-        if (maxEvents_)
-            b.droppedEvents++;
+    if (b.events.size() >= kMaxEventsPerDomain) {
+        b.droppedEvents++;
         return;
     }
-    b.events.push_back(e);
+    b.events.push_back({cycle, pos, guardFail});
 }
 
 uint64_t
@@ -169,43 +156,6 @@ RuleTimeline::writeFile(const std::string &path) const
     if (!os)
         return false;
     return write(os);
-}
-
-std::string
-RuleTimeline::flightRecorderText() const
-{
-    // Merge the per-domain rings into one chronological tail.
-    struct Line {
-        uint64_t cycle;
-        uint32_t schedPos;
-        uint32_t domain;
-    };
-    std::vector<Line> lines;
-    for (uint32_t d = 0; d < bufs_.size(); d++) {
-        const DomainBuf &b = bufs_[d];
-        uint64_t n = std::min<uint64_t>(b.flightCount, kFlightRing);
-        for (uint64_t i = 0; i < n; i++) {
-            size_t idx = (b.flightNext + kFlightRing - n + i) % kFlightRing;
-            lines.push_back({b.flight[idx].cycle, b.flight[idx].schedPos, d});
-        }
-    }
-    std::sort(lines.begin(), lines.end(), [](const Line &a, const Line &b) {
-        if (a.cycle != b.cycle)
-            return a.cycle < b.cycle;
-        if (a.domain != b.domain)
-            return a.domain < b.domain;
-        return a.schedPos < b.schedPos;
-    });
-    if (lines.size() > kFlightRing)
-        lines.erase(lines.begin(), lines.end() - kFlightRing);
-
-    std::ostringstream os;
-    os << "flight recorder (last " << lines.size() << " rule firings):\n";
-    for (const Line &l : lines) {
-        os << "  @" << l.cycle << " [" << k_.domainName(l.domain) << "] "
-           << ruleNames_[l.schedPos] << "\n";
-    }
-    return os.str();
 }
 
 } // namespace obs

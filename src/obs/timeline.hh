@@ -17,17 +17,12 @@
  * the exported JSON is byte-identical across schedulers (for fire
  * events; guard-fail recording is opt-in because attempt patterns are
  * scheduler-specific).
- *
- * The last-N fire events per domain also feed an always-on flight
- * recorder that Kernel::diagnosticReport() appends to KernelFault
- * crash dumps.
  */
 #pragma once
 
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace cmd {
@@ -40,9 +35,12 @@ namespace obs {
 class RuleTimeline
 {
   public:
+    /** Per-domain cap on recorded events (memory bound); drops are
+     *  counted and exported, never silent. */
+    static constexpr uint64_t kMaxEventsPerDomain = 1u << 22;
+
     /** Build after Kernel::elaborate() (needs domains + schedule). */
-    RuleTimeline(const cmd::Kernel &k, uint64_t maxEventsPerDomain,
-                 bool recordGuardFails);
+    RuleTimeline(const cmd::Kernel &k, bool recordGuardFails);
 
     /** Hook target; called from KernelObserver::ruleFired/guardFailed
      *  with @p domain = the rule's elaborated domain. */
@@ -52,10 +50,6 @@ class RuleTimeline
     /** Chrome trace-event JSON ({"traceEvents": [...]}). */
     bool write(std::ostream &os) const;
     bool writeFile(const std::string &path) const;
-
-    /** Last ~64 fire events across all domains, newest last — the
-     *  crash-dump flight recorder. */
-    std::string flightRecorderText() const;
 
     uint64_t recorded() const;
     uint64_t dropped() const;
@@ -70,16 +64,9 @@ class RuleTimeline
     struct DomainBuf {
         std::vector<Ev> events;
         uint64_t droppedEvents = 0;
-        // Always-on ring of the most recent fires (cheap: fixed size).
-        std::vector<Ev> flight;
-        size_t flightNext = 0;
-        uint64_t flightCount = 0;
     };
 
-    static constexpr size_t kFlightRing = 64;
-
     const cmd::Kernel &k_;
-    uint64_t maxEvents_;
     bool guardFails_;
     std::vector<DomainBuf> bufs_;
     /// rule names indexed by schedule position (stable post-elab)

@@ -43,9 +43,6 @@ struct CoreConfig {
     L1Tlb::Config itlb{32, 1, false};
     L1Tlb::Config dtlb{32, 1, false};
     L2Tlb::Config l2tlb{2048, 4, 1, false, 24};
-    /** Next-line prefetch on the L1 D miss stream (wide stand-ins);
-     *  the cache-side switch is MemHierarchyConfig.l1d.prefetchNextLine. */
-    bool prefetcher = false;
     /** SQ store-prefetch hints (the paper's unimplemented feature):
      *  acquire write permission for queued stores ahead of commit. */
     bool storePrefetch = false;
@@ -87,7 +84,8 @@ struct SystemConfig {
      * interpretation at multi-MIPS; System::runFastForward), or
      * Sampled (SMARTS-style skip/warmup/measure sampling with warm
      * checkpoint handoffs; System::runSampled). FastForward supports
-     * any core count; Sampled requires a single core.
+     * any core count and either core; Sampled requires a single OOO
+     * core (inOrder = false).
      */
     ExecMode execMode = ExecMode::Detailed;
     /** Interval tuple for ExecMode::Sampled. */
@@ -110,11 +108,6 @@ struct SystemConfig {
     uint32_t maxFaultRetries = 3;
     /** Degrade Parallel -> EventDriven -> Exhaustive on a fault. */
     bool degradeScheduler = true;
-    /**
-     * Bound on one parallel cycle barrier (stuck-worker detection),
-     * in nanoseconds; 0 disables.
-     */
-    uint64_t barrierTimeoutNs = 0;
 
     // ---- observability (see obs/obs_config.hh and System::elaborate)
     /** Trace/attribution sinks: Konata pipeline traces, Perfetto rule
@@ -207,7 +200,6 @@ struct SystemConfig {
         s.core.lqSize = 32;
         s.core.sqSize = 24;
         s.core.numSpecTags = 12;
-        s.core.prefetcher = true;
         s.mem.l1d.prefetchNextLine = true;
         s.mem.l1i.sizeKb = 48;
         s.mem.l1i.ways = 6; // keep the set count a power of two
@@ -228,7 +220,6 @@ struct SystemConfig {
         s.core.lqSize = 48;
         s.core.sqSize = 32;
         s.core.numSpecTags = 14;
-        s.core.prefetcher = true;
         s.mem.l1d.prefetchNextLine = true;
         s.mem.l1i.sizeKb = 128;
         s.mem.l1d.sizeKb = 64;

@@ -21,8 +21,7 @@ InOrderCore::InOrderCore(Kernel &k, const std::string &name,
       busy_(k, name + ".busy", 32, 0),
       memOp_(k, name + ".memOp"),
       csr_(k, name + ".csr"),
-      instret_(k, name + ".instret", 0),
-      fetchStall_(k, name + ".fetchStall", false)
+      instret_(k, name + ".instret", 0)
 {
     meta_ = std::make_unique<Meta>(k, name + ".core");
     branches_ = &meta_->stats().counter("branches");
@@ -49,8 +48,7 @@ InOrderCore::InOrderCore(Kernel &k, const std::string &name,
 
     k.rule(name + ".doFetch1", [this] { doFetch1(); })
         .when([this] {
-            return !fetchStall_.read() &&
-                   !epoch_->redirectedThisCycle() && f2q_->canEnq() &&
+            return !epoch_->redirectedThisCycle() && f2q_->canEnq() &&
                    itlb_->canReq();
         })
         .uses({&btb_->predictM, &itlb_->reqM, &f2q_->enqM,
@@ -119,102 +117,9 @@ InOrderCore::restoreArch(const isa::ArchState &as)
 }
 
 void
-InOrderCore::beginDrain()
-{
-    bool ok = k_.runAtomically([&] { fetchStall_.write(true); });
-    if (!ok)
-        panic("%s: beginDrain failed", name_.c_str());
-}
-
-bool
-InOrderCore::drained() const
-{
-    if (memOp_.read().valid || instQ_->size() || f2q_->size() ||
-        f3q_->size())
-        return false;
-    for (uint32_t i = 0; i < fetchResp_.size(); i++)
-        if (fetchResp_.read(i).valid)
-            return false;
-    for (uint32_t i = 0; i < 32; i++)
-        if (busy_.read(i))
-            return false;
-    return itlb_->quiescent() && dtlb_->quiescent() &&
-           l2tlb_->quiescent() && itlbChan_->req.size() == 0 &&
-           itlbChan_->resp.size() == 0 && dtlbChan_->req.size() == 0 &&
-           dtlbChan_->resp.size() == 0;
-}
-
-/* See OooCore::resumeArch: warm resume, TLBs preserved when satp is
- * unchanged. The drained in-order pipeline has already retired (or
- * stale-dropped) everything it fetched, so only the architectural
- * registers need re-seeding. */
-void
-InOrderCore::resumeArch(const isa::ArchState &as)
-{
-    bool ok = k_.runAtomically([&] {
-        const bool satpChanged = csr_.read().satp != as.csr.satp;
-        csr_.write(as.csr);
-        if (satpChanged) {
-            itlb_->flush();
-            dtlb_->flush();
-            itlb_->setSatp(as.csr.satp);
-            dtlb_->setSatp(as.csr.satp);
-            l2tlb_->setSatp(as.csr.satp);
-        }
-        for (unsigned i = 1; i < 32; i++)
-            regs_.write(i, as.regs[i]);
-        instret_.write(as.instret);
-        epoch_->redirect(as.pc);
-        fetchStall_.write(false);
-    });
-    if (!ok)
-        panic("%s: resumeArch failed", name_.c_str());
-}
-
-/* See OooCore::warmTlbs: one runAtomically per record. */
-void
-InOrderCore::warmTlbs(const std::vector<isa::GoldenModel::XlateRec> &recs)
-{
-    bool ok = true;
-    for (const auto &r : recs) {
-        ok &= k_.runAtomically([&] {
-            TlbEntry te;
-            te.valid = true;
-            te.vpn = isa::fullVpn(r.va);
-            te.ppn = r.ppn;
-            te.level = r.level;
-            te.flags = r.flags;
-            bool fetch =
-                r.type == static_cast<uint8_t>(isa::AccessType::Fetch);
-            (fetch ? itlb_ : dtlb_)->warmInsert(te, r.va);
-            l2tlb_->warmInsert(te, r.va);
-        });
-    }
-    if (!ok)
-        panic("%s: warmTlbs failed", name_.c_str());
-}
-
-/* BTB-only prediction on this core: train taken transfers the way the
- * execute stage does. */
-void
-InOrderCore::warmPredictors(
-    const std::vector<isa::GoldenModel::BranchRec> &recs)
-{
-    bool ok = true;
-    for (const auto &r : recs) {
-        if (!r.taken)
-            continue;
-        ok &= k_.runAtomically(
-            [&] { btb_->update(r.pc, r.target, true); });
-    }
-    if (!ok)
-        panic("%s: warmPredictors failed", name_.c_str());
-}
-
-void
 InOrderCore::doFetch1()
 {
-    require(!fetchStall_.read() && !epoch_->redirectedThisCycle());
+    require(!epoch_->redirectedThisCycle());
     uint64_t pc = epoch_->fetchPc();
     uint64_t t = btb_->predict(pc);
     uint64_t next = t ? t : pc + 4;

@@ -38,24 +38,19 @@ class InOrderCore
     /** Fast-forward -> detailed handoff: materialize a full arch
      *  state (see OooCore::restoreArch; same pristine-kernel rule). */
     void restoreArch(const isa::ArchState &as);
-    // ---- sampled-mode warm handoff (see OooCore for the contract).
-    // The in-order pipeline has no flush machinery: beginDrain() just
-    // parks fetch, and everything already fetched retires (the commit
-    // hook keeps observing it) or filters out as epoch-stale.
-    void beginDrain();
-    bool drained() const;
-    void resumeArch(const isa::ArchState &as);
-    /** Functional TLB warming (see OooCore::warmTlbs). */
-    void warmTlbs(const std::vector<isa::GoldenModel::XlateRec> &recs);
-    /** Functional predictor warming; BTB-only on this core. */
-    void
-    warmPredictors(const std::vector<isa::GoldenModel::BranchRec> &recs);
     uint64_t instret() const { return instret_.read(); }
     bool halted() const { return host_.exited(hartId_); }
     cmd::StatGroup &stats() { return meta_->stats(); }
     cmd::StatGroup &dtlbStats() { return dtlb_->stats(); }
     cmd::StatGroup &l2tlbStats() { return l2tlb_->stats(); }
 
+    /**
+     * Invoked for every retired instruction, in completion order — not
+     * program order. A load, store or atomic reports when its access
+     * completes, after younger ALU instructions have already reported,
+     * so a consumer that steps a functional model once per record
+     * (the sampled-mode ShadowTracker) cannot follow it.
+     */
     std::function<void(const CommitRecord &)> onCommit;
 
   private:
@@ -133,8 +128,6 @@ class InOrderCore
     cmd::Reg<MemOp> memOp_;
     cmd::Reg<isa::CsrState> csr_;
     cmd::Reg<uint64_t> instret_;
-    /// sampled-mode drain: doFetch1 parks until resumeArch()
-    cmd::Reg<bool> fetchStall_;
 
     cmd::Stat *branches_, *mispredicts_, *loads_, *stores_;
 };

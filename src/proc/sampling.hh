@@ -5,30 +5,32 @@
  *
  * Three execution modes:
  *
- *  - Detailed: every cycle through the CMD kernel (the default; what
- *    every PR before this one ran).
+ *  - Detailed: every cycle through the CMD kernel (the default).
  *  - FastForward: the whole program through the fast functional
  *    RV64IMA interpreter (isa::GoldenModel::run) — multi-MIPS, no
  *    timing, same PhysMem/HostDevice as the detailed core.
- *  - Sampled: SMARTS-style periodic sampling. Repeating (skip,
- *    warmup, measure) interval tuples: fast-forward `skip`
- *    instructions functionally, warm-handoff into the detailed core,
- *    run `warmup` detailed instructions discarded from the stats
+ *  - Sampled: SMARTS-style periodic sampling on a single OOO core.
+ *    Repeating (skip, warmup, measure) interval tuples: fast-forward
+ *    `skip` instructions functionally, warm-handoff into the detailed
+ *    core, run `warmup` detailed instructions discarded from the stats
  *    (cold caches/predictors heal here, the per-interval analogue of
  *    SystemConfig::statsResetAtCycle), measure `measure` detailed
  *    instructions, hand back, repeat. Per-interval IPCs feed the
  *    IntervalEstimator (mean + 95% confidence interval).
  *
- * The warm handoff reuses PR 3's checkpoint machinery: the detailed
- * side is re-materialized by restoring the pristine post-start
- * Kernel::snapshot() (empty pipelines, empty caches — exactly what
- * CheckpointManager persists to disk) and then writing the functional
- * ArchState into the core under runAtomically (OooCore/InOrderCore::
- * restoreArch). The detailed->functional direction is tracked by a
- * ShadowTracker: a private GoldenModel stepping once per commit on a
- * copy of memory (the cosim discipline of tests/cosim.hh), so the
- * architectural state at interval end is known without draining the
- * pipeline, store buffer, or dirty cache lines.
+ * The fast-forward -> detailed handoff reuses the checkpoint
+ * machinery: the detailed side is re-materialized by restoring the
+ * pristine post-start Kernel::snapshot() (empty pipelines, empty
+ * caches — exactly what CheckpointManager persists to disk) and then
+ * writing the functional ArchState into the core under runAtomically
+ * (OooCore/InOrderCore::restoreArch). The detailed->functional
+ * direction is tracked by a ShadowTracker: a private GoldenModel
+ * stepping once per commit on a copy of memory (the cosim discipline
+ * of tests/cosim.hh), so the architectural state at interval end is
+ * known without draining the pipeline, store buffer, or dirty cache
+ * lines. The shadow needs commits in program order, which is why
+ * sampled mode rejects the in-order core: it reports memory
+ * instructions at completion (InOrderCore::onCommit).
  */
 #pragma once
 
@@ -56,12 +58,6 @@ struct SamplingConfig {
     uint64_t skip = 50000;  ///< functionally fast-forwarded
     uint64_t warmup = 3000; ///< detailed, discarded from stats
     uint64_t measure = 3000; ///< detailed, measured
-    /** Stop sampling after this many measured intervals (0 = run to
-     *  program completion). */
-    uint64_t maxIntervals = 0;
-    /** A final partial interval below this many measured instructions
-     *  is dropped from the estimate (program exited mid-measure). */
-    uint64_t minMeasure = 500;
 };
 
 /**

@@ -33,7 +33,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     k_.setScheduler(cfg_.scheduler);
     k_.setParallelThreads(cfg_.threads);
     k_.setLookahead(cfg_.lookahead);
-    k_.setBarrierTimeoutNs(cfg_.barrierTimeoutNs);
     cfg_.mem.cores = cfg_.cores;
     host_ = std::make_unique<HostDevice>(cfg_.cores);
     hier_ = std::make_unique<MemHierarchy>(k_, "mem", mem_, cfg_.mem);
@@ -307,7 +306,7 @@ System::run(uint64_t maxCycles)
         hr.run(done, maxCycles);
     } catch (const KernelFault &) {
         runWallNs_ += nsSince();
-        std::cerr << k_.progressReport();
+        std::cerr << k_.report().text();
         for (auto &core : oooCores_)
             std::cerr << core->debugString();
         throw;
@@ -405,26 +404,24 @@ System::sampledInterval(ShadowTracker &shadow, uint64_t &warmCycles,
                         uint64_t &measInsts, uint64_t &drainInsts)
 {
     const SamplingConfig &sc = cfg_.sampling;
-    OooCore *ooo = cfg_.inOrder ? nullptr : oooCores_[0].get();
-    InOrderCore *io = cfg_.inOrder ? ioCores_[0].get() : nullptr;
+    OooCore &core = *oooCores_[0];
 
     // Chain the shadow in front of any existing commit hook.
-    auto &hook = ooo ? ooo->onCommit : io->onCommit;
+    auto &hook = core.onCommit;
     auto prev = hook;
     hook = [&shadow, prev](const CommitRecord &r) {
         shadow.step(r.pc, r.trapped);
         if (prev)
             prev(r);
     };
-    if (ooo)
-        ooo->setCpiMuted(true); // warmup cycles stay out of the stats
+    core.setCpiMuted(true); // warmup cycles stay out of the stats
 
-    const uint64_t i0 = instret(0);
+    const uint64_t i0 = core.instret();
     const uint64_t c0 = k_.cycleCount();
     uint64_t iWarm = i0, cWarm = c0;
     bool measuring = sc.warmup == 0;
-    if (measuring && ooo)
-        ooo->setCpiMuted(false);
+    if (measuring)
+        core.setCpiMuted(false);
     // Generous per-window cycle budget: even at CPI 50 a window
     // fits; hitting it means the interval wedged, not a slow phase.
     const uint64_t cap = (sc.warmup + sc.measure) * 50 + 100000;
@@ -441,14 +438,13 @@ System::sampledInterval(ShadowTracker &shadow, uint64_t &warmCycles,
             stopReason_ = StopReason::AllExited;
             return true;
         }
-        if (!measuring && instret(0) - i0 >= sc.warmup) {
+        if (!measuring && core.instret() - i0 >= sc.warmup) {
             measuring = true;
-            iWarm = instret(0);
+            iWarm = core.instret();
             cWarm = k_.cycleCount();
-            if (ooo)
-                ooo->setCpiMuted(false);
+            core.setCpiMuted(false);
         }
-        if (measuring && instret(0) - iWarm >= sc.measure) {
+        if (measuring && core.instret() - iWarm >= sc.measure) {
             stopReason_ = StopReason::MaxInsts;
             return true;
         }
@@ -458,38 +454,33 @@ System::sampledInterval(ShadowTracker &shadow, uint64_t &warmCycles,
         hr.run(done, cap);
     } catch (const KernelFault &) {
         hook = prev;
-        std::cerr << k_.progressReport();
+        std::cerr << k_.report().text();
         throw;
     }
-    if (ooo)
-        ooo->setCpiMuted(true);
+    core.setCpiMuted(true);
 
     if (!measuring) {
-        iWarm = instret(0);
+        iWarm = core.instret();
         cWarm = k_.cycleCount();
     }
     warmInsts = iWarm - i0;
     warmCycles = cWarm - c0;
-    measInsts = instret(0) - iWarm;
+    measInsts = core.instret() - iWarm;
     measCycles = k_.cycleCount() - cWarm;
     const bool terminal = stopReason_ != StopReason::MaxInsts;
 
-    // Warm handoff back to fast-forward: park fetch, squash (OOO) or
-    // retire (in-order) the in-flight work, and cycle until the core
-    // and the whole hierarchy are quiescent, so the next handoff can
-    // resync cache data without racing an in-flight refill. Drain
-    // commits are real program instructions — the shadow (still
-    // hooked) keeps following them; cycles stay CPI-muted.
+    // Warm handoff back to fast-forward: park fetch, squash the
+    // in-flight work, and cycle until the core and the whole hierarchy
+    // are quiescent, so the next handoff can resync cache data without
+    // racing an in-flight refill. Drain commits are real program
+    // instructions — the shadow (still hooked) keeps following them;
+    // cycles stay CPI-muted.
     if (!terminal) {
-        const uint64_t iDrain0 = instret(0);
+        const uint64_t iDrain0 = core.instret();
         try {
-            if (ooo)
-                ooo->beginDrain();
-            else
-                io->beginDrain();
+            core.beginDrain();
             auto quiet = [&] {
-                return (ooo ? ooo->drained() : io->drained()) &&
-                       hier_->quiescent();
+                return core.drained() && hier_->quiescent();
             };
             // Generous bound: a full drain is ROB+SB+MSHR depth worth
             // of DRAM round trips, a few thousand cycles at most.
@@ -502,10 +493,10 @@ System::sampledInterval(ShadowTracker &shadow, uint64_t &warmCycles,
             }
         } catch (const KernelFault &) {
             hook = prev;
-            std::cerr << k_.progressReport();
+            std::cerr << k_.report().text();
             throw;
         }
-        drainInsts = instret(0) - iDrain0;
+        drainInsts = core.instret() - iDrain0;
     }
 
     runWallNs_ += static_cast<uint64_t>(
@@ -525,6 +516,12 @@ System::runSampled(uint64_t maxInsts)
     if (cfg_.cores != 1)
         kfault(FaultKind::ApiMisuse, "system",
                "sampled mode is single-core (cores=%u)", cfg_.cores);
+    // The in-order core reports memory instructions at completion, not
+    // in program order (see its onCommit), so the ShadowTracker cannot
+    // follow its commit stream.
+    if (cfg_.inOrder)
+        kfault(FaultKind::ApiMisuse, "system",
+               "sampled mode needs the OOO core (inOrder=true)");
     if (funcHarts_.empty())
         kfault(FaultKind::ApiMisuse, "system",
                "runSampled() before start()");
@@ -551,8 +548,6 @@ System::runSampled(uint64_t maxInsts)
     stopReason_ = StopReason::MaxInsts;
     bool terminal = false;
     while (!terminal) {
-        if (sc.maxIntervals && sampleStats_.intervals >= sc.maxIntervals)
-            break; // MaxInsts: interval budget spent
         if (maxInsts && sampleStats_.totalInsts >= maxInsts)
             break;
 
@@ -611,15 +606,9 @@ System::runSampled(uint64_t maxInsts)
                    "sampled handoff cache warming failed");
         journal.clear();
         g.setTouchJournal(&journal); // reset the dedup filters
-        if (cfg_.inOrder) {
-            ioCores_[0]->warmTlbs(xlates);
-            ioCores_[0]->warmPredictors(branches);
-            ioCores_[0]->resumeArch(as);
-        } else {
-            oooCores_[0]->warmTlbs(xlates);
-            oooCores_[0]->warmPredictors(branches);
-            oooCores_[0]->resumeArch(as);
-        }
+        oooCores_[0]->warmTlbs(xlates);
+        oooCores_[0]->warmPredictors(branches);
+        oooCores_[0]->resumeArch(as);
         xlates.clear();
         branches.clear();
         runner().watchdog().reset();
@@ -632,7 +621,10 @@ System::runSampled(uint64_t maxInsts)
         sampleStats_.measuredInsts += mi;
         sampleStats_.measuredCycles += mc;
         sampleStats_.totalInsts += wi + mi + di;
-        if (mc > 0 && mi >= sc.minMeasure) {
+        // A final partial interval (program exited mid-measure) below
+        // this many measured instructions is dropped from the estimate.
+        constexpr uint64_t kMinMeasure = 500;
+        if (mc > 0 && mi >= kMinMeasure) {
             // Accumulate CPI, not IPC: intervals hold a fixed
             // instruction count, so the arithmetic mean of per-interval
             // CPIs is the instruction-weighted estimate (the SMARTS

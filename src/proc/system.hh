@@ -85,13 +85,15 @@ class System
     void handoffToDetailed();
 
     /**
-     * SMARTS-style sampled simulation (ExecMode::Sampled, single
-     * core): repeat (skip, warmup, measure) intervals per
-     * SystemConfig::sampling until the program exits or budgets run
-     * out; sampleStats() holds the estimate. During the detailed
-     * windows a ShadowTracker follows the commit stream so the
-     * handoff back to fast-forward needs no pipeline/cache draining.
-     * @p maxInsts bounds total instructions (0 = none).
+     * SMARTS-style sampled simulation (ExecMode::Sampled) on a
+     * single OOO core; any other config raises
+     * KernelFault{ApiMisuse} before a cycle runs. Repeats (skip,
+     * warmup, measure) intervals per SystemConfig::sampling until the
+     * program exits or @p maxInsts total instructions ran (0 = no
+     * budget); sampleStats() holds the estimate. During the detailed
+     * windows a ShadowTracker follows the commit stream, so the
+     * handoff back to fast-forward takes registers and memory from it,
+     * not from the pipeline or the caches.
      * @return true if the program exited cleanly.
      */
     bool runSampled(uint64_t maxInsts = 0);

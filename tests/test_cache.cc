@@ -152,6 +152,22 @@ TEST(Cache, CoherentReadAfterRemoteWrite)
     EXPECT_EQ(s.hier.dcache(1).probeState(A), Msi::S);
 }
 
+// Past 16 cores the L2 has more than 32 children (D + I per core): the
+// holder here is child 32, core 16's D$. Exactly that child gets the
+// downgrade, not child 32 mod 32 (the requester's own D$) as well.
+TEST(Cache, DowngradeTargetsPast32Children)
+{
+    Sys s(17);
+    s.store(16, A, 42);
+    EXPECT_EQ(s.hier.dcache(16).probeState(A), Msi::M);
+    uint64_t before = s.hier.l2().stats().get("downgrades");
+    Line l = s.load(0, A);
+    EXPECT_EQ(l.read(lineOffset(A), 8), 42u);
+    EXPECT_EQ(s.hier.l2().stats().get("downgrades"), before + 1);
+    EXPECT_EQ(s.hier.dcache(16).probeState(A), Msi::S);
+    EXPECT_EQ(s.hier.dcache(0).probeState(A), Msi::S);
+}
+
 TEST(Cache, WriteInvalidatesSharers)
 {
     Sys s(2);

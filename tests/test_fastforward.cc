@@ -271,6 +271,24 @@ TEST(FastForward, SampledIpcCloseToDetailed)
     ASSERT_GT(st.intervals, 5u);
     ASSERT_GT(st.meanIpc, 0.0);
     EXPECT_NEAR(st.meanIpc, detIpc, 0.05 * detIpc);
+
+    // Sampled mode needs the OOO core: the in-order core reports
+    // memory instructions at completion, out of program order, so the
+    // shadow tracker cannot follow it. The config is refused before
+    // any cycle runs.
+    SystemConfig icfg = SystemConfig::rocket(10);
+    icfg.execMode = ExecMode::Sampled;
+    System isys(icfg);
+    workloads::Image iimg = w.build(isys, 1);
+    isys.elaborate();
+    isys.start(iimg.entry, iimg.satp, iimg.stacks);
+    try {
+        isys.runSampled();
+        ADD_FAILURE() << "in-order runSampled() did not fault";
+    } catch (const cmd::KernelFault &f) {
+        EXPECT_EQ(f.kind(), cmd::FaultKind::ApiMisuse);
+    }
+    EXPECT_EQ(isys.kernel().cycleCount(), 0u);
 }
 
 // Multi-hart fast-forward: round-robin instruction batches must let

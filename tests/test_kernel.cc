@@ -644,7 +644,7 @@ TEST(Kernel, ProgressReportMentionsRules)
     k.rule("never", [&] { require(false); });
     k.elaborate();
     k.cycle();
-    std::string rep = k.progressReport();
+    std::string rep = k.report().text();
     EXPECT_NE(rep.find("tick"), std::string::npos);
     EXPECT_NE(rep.find("never"), std::string::npos);
     EXPECT_NE(rep.find("guard-false"), std::string::npos);
