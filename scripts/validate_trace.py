@@ -118,7 +118,6 @@ def validate_kanata(path):
 REQUIRED_KEYS = {
     "X": ("ts", "dur", "name", "pid", "tid"),
     "C": ("ts", "name", "args", "pid", "tid"),
-    "i": ("ts", "name", "s", "pid", "tid"),
     "M": ("name", "args", "pid", "tid"),
 }
 

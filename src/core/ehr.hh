@@ -36,9 +36,12 @@ class Ehr : public StateBase
 
   public:
     Ehr(Kernel &kernel, std::string name, uint32_t ports, T init = T{})
-        : StateBase(kernel, std::move(name)), cur_(detail::cleared(init)),
-          staged_(ports), valid_(ports, false)
+        : StateBase(kernel, std::move(name)), cur_(init), staged_(ports),
+          valid_(ports, false)
     {
+        // Clear in place: a copy of a cleared value need not carry its
+        // zeroed padding (see Reg).
+        detail::clearPadding(cur_);
         if (ports == 0 || ports > 16)
             kfault(FaultKind::DesignError, this->name(),
                    "unreasonable EHR port count %u", ports);

@@ -456,7 +456,7 @@ Kernel::onMethodCall(const Method &m)
     // CM legality versus rules that already fired this cycle: every
     // already-fired method n must satisfy CM(n, m) in {<, CF}.
     if (mod.firedMask_ & m.illegalBeforeMask_)
-        throw CmBlock{&m};
+        throw CmBlock{};
 
     // Declaration check (the "compiler" check): a named rule may only
     // call methods in its declared closure.
@@ -539,6 +539,38 @@ Kernel::abortRuleEffects(detail::ExecContext &c)
     c.touchedModules.clear();
 }
 
+Rule::Outcome
+Kernel::runTransaction(detail::ExecContext &c, const Rule *r,
+                       const std::function<void()> &body)
+{
+    c.inRule = true;
+    c.currentRule = r;
+    Rule::Outcome out = Rule::Outcome::Fired;
+    try {
+        body();
+    } catch (const GuardFail &) {
+        c.guardThrows++;
+        out = Rule::Outcome::GuardFalse;
+    } catch (const CmBlock &) {
+        out = Rule::Outcome::CmBlocked;
+    } catch (...) {
+        // A KernelFault (or foreign exception) escaping the body: roll
+        // the transaction back so the design is left at its last
+        // committed state, then let the driver classify the fault.
+        c.inRule = false;
+        c.currentRule = nullptr;
+        abortRuleEffects(c);
+        throw;
+    }
+    c.inRule = false;
+    c.currentRule = nullptr;
+    if (out == Rule::Outcome::Fired)
+        commitRuleEffects(c);
+    else
+        abortRuleEffects(c);
+    return out;
+}
+
 bool
 Kernel::tryFire(detail::ExecContext &c, Rule &r)
 {
@@ -553,8 +585,6 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
         if (!r.guard_()) {
             r.last_ = Rule::Outcome::GuardFalse;
             r.guardAborts_.inc();
-            if (obs_)
-                obs_->guardFailed(r, currentCycle(), r.domain_);
             return false;
         }
         // The guard passed: its reads are the captured sensitivity.
@@ -571,53 +601,21 @@ Kernel::tryFire(detail::ExecContext &c, Rule &r)
         }
     }
 
-    c.inRule = true;
-    c.currentRule = &r;
-    bool fired = false;
-    try {
-        r.body_();
-        if (c.fastGuardFail) {
-            c.fastGuardFail = false;
-            c.fastGuardFails++;
-            r.last_ = Rule::Outcome::GuardFalse;
-            r.guardAborts_.inc();
-            if (obs_)
-                obs_->guardFailed(r, currentCycle(), r.domain_);
-        } else {
-            fired = true;
-        }
-    } catch (const GuardFail &) {
-        c.guardThrows++;
-        r.last_ = Rule::Outcome::GuardFalse;
-        r.guardAborts_.inc();
-        if (obs_)
-            obs_->guardFailed(r, currentCycle(), r.domain_);
-    } catch (const CmBlock &) {
-        r.last_ = Rule::Outcome::CmBlocked;
-        r.cmAborts_.inc();
-    } catch (...) {
-        // A KernelFault (or foreign exception) escaping the body: roll
-        // the transaction back so the design is left at its last
-        // committed state, then let the driver classify the fault.
-        c.inRule = false;
-        c.currentRule = nullptr;
-        abortRuleEffects(c);
-        throw;
-    }
-    c.inRule = false;
-    c.currentRule = nullptr;
-
-    if (fired) {
-        commitRuleEffects(c);
-        r.last_ = Rule::Outcome::Fired;
+    r.last_ = runTransaction(c, &r, r.body_);
+    switch (r.last_) {
+      case Rule::Outcome::Fired:
         r.fired_.inc();
         c.noteFired(&r, currentCycle());
         if (obs_)
             obs_->ruleFired(r, currentCycle(), r.domain_);
-    } else {
-        abortRuleEffects(c);
+        return true;
+      case Rule::Outcome::GuardFalse:
+        r.guardAborts_.inc();
+        return false;
+      default: // CmBlocked
+        r.cmAborts_.inc();
+        return false;
     }
-    return fired;
 }
 
 bool
@@ -630,29 +628,7 @@ Kernel::runAtomically(const std::function<void()> &fn)
         kfault(FaultKind::ApiMisuse, "kernel",
                "runAtomically() before elaboration");
     detail::CtxScope scope(&mainCtx_);
-    mainCtx_.inRule = true;
-    bool fired = false;
-    try {
-        fn();
-        fired = !mainCtx_.fastGuardFail;
-        if (mainCtx_.fastGuardFail) {
-            mainCtx_.fastGuardFail = false;
-            mainCtx_.fastGuardFails++;
-        }
-    } catch (const GuardFail &) {
-        mainCtx_.guardThrows++;
-    } catch (const CmBlock &) {
-    } catch (...) {
-        mainCtx_.inRule = false;
-        abortRuleEffects(mainCtx_);
-        throw;
-    }
-    mainCtx_.inRule = false;
-    if (fired)
-        commitRuleEffects(mainCtx_);
-    else
-        abortRuleEffects(mainCtx_);
-    return fired;
+    return runTransaction(mainCtx_, nullptr, fn) == Rule::Outcome::Fired;
 }
 
 uint32_t
@@ -1122,45 +1098,6 @@ Kernel::runUntil(const std::function<bool()> &done, uint64_t maxCycles)
         cycle();
     }
     return done();
-}
-
-// ---------------------------------------------------------- counter getters
-
-uint64_t
-Kernel::ruleAttemptCount() const
-{
-    return sumCtx([](const detail::ExecContext &c) { return c.attempts; });
-}
-
-uint64_t
-Kernel::sleepSkipCount() const
-{
-    return sumCtx([](const detail::ExecContext &c) { return c.sleepSkips; });
-}
-
-uint64_t
-Kernel::sleepCount() const
-{
-    return sumCtx([](const detail::ExecContext &c) { return c.sleeps; });
-}
-
-uint64_t
-Kernel::wakeCount() const
-{
-    return sumCtx([](const detail::ExecContext &c) { return c.wakes; });
-}
-
-uint64_t
-Kernel::guardThrowCount() const
-{
-    return sumCtx([](const detail::ExecContext &c) { return c.guardThrows; });
-}
-
-uint64_t
-Kernel::fastGuardFailCount() const
-{
-    return sumCtx(
-        [](const detail::ExecContext &c) { return c.fastGuardFails; });
 }
 
 // -------------------------------------------------------------- elaboration
@@ -1662,12 +1599,11 @@ Kernel::report() const
     rep.scheduler = toString(sched_);
     rep.cycle = cycle_;
     rep.domains = domainCount_;
-    rep.attempts = ruleAttemptCount();
-    rep.sleepSkips = sleepSkipCount();
-    rep.sleeps = sleepCount();
-    rep.wakes = wakeCount();
-    rep.guardThrows = guardThrowCount();
-    rep.fastGuardFails = fastGuardFailCount();
+    rep.attempts = sumCtx(&detail::ExecContext::attempts);
+    rep.sleepSkips = sumCtx(&detail::ExecContext::sleepSkips);
+    rep.sleeps = sumCtx(&detail::ExecContext::sleeps);
+    rep.wakes = sumCtx(&detail::ExecContext::wakes);
+    rep.guardThrows = sumCtx(&detail::ExecContext::guardThrows);
     rep.rules.reserve(schedule_.size());
     for (const Rule *r : schedule_) {
         KernelReport::RuleLine line;
@@ -1715,8 +1651,7 @@ KernelReport::text() const
     os << "scheduler: kind=" << scheduler << " domains=" << domains
        << " attempts=" << attempts << " sleepSkips=" << sleepSkips
        << " sleeps=" << sleeps << " wakes=" << wakes
-       << " guardThrows=" << guardThrows
-       << " fastGuardFails=" << fastGuardFails << '\n';
+       << " guardThrows=" << guardThrows << '\n';
     if (threads) {
         os << "parallel: threads=" << threads << " cycles=" << parallelCycles
            << " barrierWaitNs=" << barrierWaitNs

@@ -155,7 +155,6 @@ struct GuardFail
  */
 struct CmBlock
 {
-    const Method *method = nullptr;
 };
 
 /** Raised on design errors detected at elaboration time. */
@@ -209,8 +208,8 @@ class ChannelPort
  * is installed per kernel; every hook site is a single null-pointer
  * check when no observer is installed.
  *
- * Threading contract: ruleFired/guardFailed run on whichever thread
- * executes the rule — under SchedulerKind::Parallel that is the
+ * Threading contract: ruleFired runs on whichever thread executes
+ * the rule — under SchedulerKind::Parallel that is the
  * domain's worker thread, so implementations must only touch state
  * owned by the rule's domain (@p domain is the rule's elaborated
  * domain, stable across schedulers). cycleEnd runs on the driving
@@ -228,13 +227,6 @@ class KernelObserver
         (void)cycle;
         (void)domain;
     }
-    /** @p r was attempted and aborted on a false guard. */
-    virtual void guardFailed(const Rule &r, uint64_t cycle, uint32_t domain)
-    {
-        (void)r;
-        (void)cycle;
-        (void)domain;
-    }
     /** End of Kernel::cycle(); @p fired rules committed in it. */
     virtual void cycleEnd(uint64_t cycle, uint32_t fired)
     {
@@ -246,8 +238,8 @@ class KernelObserver
      * windows. When any installed observer needs cycleEnd() called at
      * every simulated cycle, the kernel clamps the sync stride to 1.
      * Inside a multi-cycle window cycleEnd() is NOT invoked for the
-     * interior cycles; ruleFired/guardFailed still fire with exact
-     * per-domain local cycle numbers.
+     * interior cycles; ruleFired still fires with exact per-domain
+     * local cycle numbers.
      */
     virtual bool needsPerCycle() const { return true; }
 };
@@ -292,6 +284,8 @@ struct KernelReport
     uint64_t sleeps = 0;
     uint64_t wakes = 0;
     uint64_t guardThrows = 0;
+    /// Retired: nothing sets it, so it always reads 0. It stays only
+    /// because perfbench/perf_e2e.cc reads it.
     uint64_t fastGuardFails = 0;
     // Parallel-scheduler extras (threads == 0 otherwise):
     uint32_t threads = 0;
@@ -328,15 +322,6 @@ clearPadding(T &v)
 #else
     (void)v;
 #endif
-}
-
-/** Copy of @p v with padding bytes zeroed. */
-template <typename T>
-inline T
-cleared(T v)
-{
-    clearPadding(v);
-    return v;
 }
 
 /// Domain id of the main context: sequential schedulers and
@@ -383,7 +368,6 @@ struct ExecContext
     bool cycleRead = false;       ///< attempt read cycleCount()
     bool readOverflow = false;
     bool attemptCaptured = true;  ///< read set covers the whole attempt
-    bool fastGuardFail = false;   ///< requireFast() tripped
     uint64_t readMark = 0;        ///< current attempt's dedup stamp
     std::vector<StateBase *> readSet;
 
@@ -392,13 +376,12 @@ struct ExecContext
     /// bitmap over sched positions of awake rules (the event wheel)
     std::vector<uint64_t> awakeBits;
 
-    // Counters (Kernel getters sum them across contexts):
+    // Counters (Kernel::report() sums them across contexts):
     uint64_t attempts = 0;
     uint64_t sleepSkips = 0;
     uint64_t sleeps = 0;
     uint64_t wakes = 0;
     uint64_t guardThrows = 0;
-    uint64_t fastGuardFails = 0;
     uint64_t fired = 0;
     uint64_t execNs = 0;    ///< parallel mode: time inside domain cycles
     uint32_t lastFired = 0; ///< rules fired in the most recent cycle
@@ -763,9 +746,11 @@ class Rule
     Rule &uses(const std::vector<const Method *> &ms);
 
     /**
-     * Cheap explicit guard evaluated before attempting the body. Use
-     * it for the common not-ready conditions so the (exception-based)
-     * implicit-guard path stays off the fast path.
+     * Cheap explicit guard evaluated before attempting the body: the
+     * exception-free exit. A false when() aborts the rule without
+     * dispatching the body; a guard inside the body (require()) aborts
+     * it by throwing GuardFail. Put the common not-ready conditions
+     * here so the throwing path stays off the fast path.
      */
     Rule &when(std::function<bool()> guard);
 
@@ -1005,19 +990,6 @@ class Kernel
      */
     void setParallelMainParticipates(bool p) { mainParticipates_ = p; }
 
-    // ---- scheduler observability (see report())
-    /** Rule attempts actually dispatched (guard + body). */
-    uint64_t ruleAttemptCount() const;
-    /** Attempts skipped because the rule was asleep. */
-    uint64_t sleepSkipCount() const;
-    /** Times a rule was put to sleep / woken by a commit. */
-    uint64_t sleepCount() const;
-    uint64_t wakeCount() const;
-    /** GuardFail exceptions actually thrown (the slow abort path). */
-    uint64_t guardThrowCount() const;
-    /** Guard failures short-circuited without a throw. */
-    uint64_t fastGuardFailCount() const;
-
     /**
      * Execute @p fn as an anonymous atomic action within the current
      * cycle — the testbench's way of poking a design. Obeys the same
@@ -1127,6 +1099,15 @@ class Kernel
 
     /** Attempt one rule; commit or roll back. @return fired? */
     bool tryFire(detail::ExecContext &c, Rule &r);
+    /**
+     * Run @p body as one atomic transaction on @p c (@p r is the rule
+     * it belongs to, null for an atomic action): commit its effects
+     * if it completes, roll them back if it fails a guard or is
+     * CM-blocked. Any other exception is rethrown after the rollback.
+     * @return Fired, GuardFalse or CmBlocked.
+     */
+    Rule::Outcome runTransaction(detail::ExecContext &c, const Rule *r,
+                                 const std::function<void()> &body);
     void commitRuleEffects(detail::ExecContext &c);
     void abortRuleEffects(detail::ExecContext &c);
 
@@ -1168,13 +1149,13 @@ class Kernel
     void stopWorkers();
     uint32_t effectiveThreads() const;
 
-    template <typename F>
+    /** Sum one counter over the main and every domain context. */
     uint64_t
-    sumCtx(F f) const
+    sumCtx(uint64_t detail::ExecContext::*counter) const
     {
-        uint64_t total = f(mainCtx_);
+        uint64_t total = mainCtx_.*counter;
         for (const detail::ExecContext &c : ctxs_)
-            total += f(c);
+            total += c.*counter;
         return total;
     }
 
@@ -1285,27 +1266,6 @@ inline uint64_t
 StateBase::kernelCycle() const
 {
     return kernel_.currentCycle();
-}
-
-/**
- * Exception-free guard check for the top level of a rule body: on a
- * false condition the enclosing rule aborts as if require() had
- * thrown, but without the throw. The caller MUST return immediately
- * on false — `if (!requireFast(cond)) return;` — because unlike
- * require() it cannot unwind the stack; any code run after a failed
- * requireFast() is staged and then discarded. Outside a rule or
- * atomic action it degrades to the throwing require().
- */
-inline bool
-requireFast(bool cond)
-{
-    if (cond)
-        return true;
-    detail::ExecContext *c = detail::activeCtx;
-    if (!c || !c->inRule)
-        throw GuardFail{};
-    c->fastGuardFail = true;
-    return false;
 }
 
 } // namespace cmd

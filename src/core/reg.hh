@@ -34,8 +34,12 @@ class Reg final : public StateBase
 
   public:
     Reg(Kernel &kernel, std::string name, T init = T{})
-        : StateBase(kernel, std::move(name)), cur_(detail::cleared(init))
+        : StateBase(kernel, std::move(name)), cur_(init)
     {
+        // Clear in place: a copy of a cleared value need not carry its
+        // zeroed padding. Commits copy padding-cleared staged values,
+        // so the padding stays zero from here on.
+        detail::clearPadding(cur_);
     }
 
     /** Committed value (as of the start of the current rule). */
@@ -328,8 +332,12 @@ class RegArray final : public StateBase
 
   public:
     RegArray(Kernel &kernel, std::string name, size_t size, T init = T{})
-        : StateBase(kernel, std::move(name)), cur_(size, detail::cleared(init))
+        : StateBase(kernel, std::move(name)), cur_(size, init)
     {
+        // Clear in place: the vector's element copies need not carry
+        // zeroed padding (see Reg).
+        for (T &v : cur_)
+            detail::clearPadding(v);
     }
 
     size_t size() const { return cur_.size(); }

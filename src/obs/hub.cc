@@ -6,8 +6,7 @@ ObsHub::ObsHub(cmd::Kernel &k, const ObsConfig &cfg, uint32_t numCores)
     : k_(k), cfg_(cfg)
 {
     if (cfg_.timeline)
-        timeline_ =
-            std::make_unique<RuleTimeline>(k, cfg_.timelineGuardFails);
+        timeline_ = std::make_unique<RuleTimeline>(k);
 
     pipes_.resize(numCores);
     cpis_.resize(numCores);
@@ -53,14 +52,7 @@ void
 ObsHub::ruleFired(const cmd::Rule &r, uint64_t cycle, uint32_t domain)
 {
     if (timeline_)
-        timeline_->record(r, cycle, domain, false);
-}
-
-void
-ObsHub::guardFailed(const cmd::Rule &r, uint64_t cycle, uint32_t domain)
-{
-    if (timeline_)
-        timeline_->record(r, cycle, domain, true);
+        timeline_->record(r, cycle, domain);
 }
 
 void

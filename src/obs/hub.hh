@@ -3,8 +3,8 @@
  * ObsHub: the one KernelObserver a System installs. Routes kernel
  * hook callbacks to the configured sinks:
  *
- *  - ruleFired/guardFailed -> RuleTimeline (Perfetto export; built
- *    only when the timeline sink is on);
+ *  - ruleFired -> RuleTimeline (Perfetto export; built only when the
+ *    timeline sink is on);
  *  - cycleEnd -> a post-cycle hook the System uses for CPI-stack
  *    sampling and the warmup stats reset (runs on the driving thread
  *    between cycles, when every domain is quiesced).
@@ -74,13 +74,11 @@ class ObsHub final : public cmd::KernelObserver
     // -- KernelObserver
     void ruleFired(const cmd::Rule &r, uint64_t cycle,
                    uint32_t domain) override;
-    void guardFailed(const cmd::Rule &r, uint64_t cycle,
-                     uint32_t domain) override;
     void cycleEnd(uint64_t cycle, uint32_t fired) override;
     /**
-     * The hub itself never needs per-cycle callbacks — ruleFired /
-     * guardFailed carry exact cycle numbers, so the timeline and
-     * pipeline tracers are window-safe. Only an
+     * The hub itself never needs per-cycle callbacks — ruleFired
+     * carries exact cycle numbers, so the timeline and pipeline
+     * tracers are window-safe. Only an
      * installed post-cycle hook (CPI sampling, warmup reset) forces
      * the parallel scheduler back to per-cycle sync.
      */

@@ -26,13 +26,6 @@ struct ObsConfig {
     bool timeline = false;
     /** Output file for the trace-event JSON. */
     std::string timelinePath = "trace_timeline.json";
-    /**
-     * Also record guard-failed attempts as instant events. Off by
-     * default: attempt patterns differ by scheduler (the event-driven
-     * walk skips sleeping rules), so the byte-identical-across-
-    * schedulers guarantee of the timeline holds only for fire events.
-     */
-    bool timelineGuardFails = false;
 
     // ---- top-down CPI stacks (commit-point cycle attribution)
     bool cpi = false;

@@ -8,8 +8,7 @@
 
 namespace obs {
 
-RuleTimeline::RuleTimeline(const cmd::Kernel &k, bool recordGuardFails)
-    : k_(k), guardFails_(recordGuardFails)
+RuleTimeline::RuleTimeline(const cmd::Kernel &k) : k_(k)
 {
     bufs_.resize(k.domainCount() ? k.domainCount() : 1);
     const auto &sched = k.scheduleOrder();
@@ -19,11 +18,8 @@ RuleTimeline::RuleTimeline(const cmd::Kernel &k, bool recordGuardFails)
 }
 
 void
-RuleTimeline::record(const cmd::Rule &r, uint64_t cycle, uint32_t domain,
-                     bool guardFail)
+RuleTimeline::record(const cmd::Rule &r, uint64_t cycle, uint32_t domain)
 {
-    if (guardFail && !guardFails_)
-        return;
     // schedPos is the rule's elaborated schedule index — no lookup on
     // the per-fire path (this hook runs for every fired rule).
     const uint32_t pos = r.schedPos();
@@ -36,7 +32,7 @@ RuleTimeline::record(const cmd::Rule &r, uint64_t cycle, uint32_t domain,
         b.droppedEvents++;
         return;
     }
-    b.events.push_back({cycle, pos, guardFail});
+    b.events.push_back({cycle, pos});
 }
 
 uint64_t
@@ -93,47 +89,34 @@ RuleTimeline::write(std::ostream &os) const
         while (i < b.events.size()) {
             size_t j = i;
             uint64_t cyc = b.events[i].cycle;
-            uint32_t firedHere = 0;
             while (j < b.events.size() && b.events[j].cycle == cyc) {
                 const Ev &e = b.events[j];
                 uint64_t ts = cyc * 1000 + (j - i);
                 std::ostringstream s;
-                if (e.guardFail) {
-                    s << "{\"ph\": \"i\", \"pid\": 0, \"tid\": " << (d + 1)
-                      << ", \"ts\": " << ts << ", \"s\": \"t\", \"name\": \""
-                      << cmd::jsonEscape(ruleNames_[e.schedPos] +
-                                         " guard-fail")
-                      << "\"}";
-                } else {
-                    firedHere++;
-                    s << "{\"ph\": \"X\", \"pid\": 0, \"tid\": " << (d + 1)
-                      << ", \"ts\": " << ts << ", \"dur\": 1, \"name\": \""
-                      << cmd::jsonEscape(ruleNames_[e.schedPos])
-                      << "\", \"args\": {\"cycle\": " << cyc
-                      << ", \"sched_pos\": " << e.schedPos << "}}";
-                }
+                s << "{\"ph\": \"X\", \"pid\": 0, \"tid\": " << (d + 1)
+                  << ", \"ts\": " << ts << ", \"dur\": 1, \"name\": \""
+                  << cmd::jsonEscape(ruleNames_[e.schedPos])
+                  << "\", \"args\": {\"cycle\": " << cyc
+                  << ", \"sched_pos\": " << e.schedPos << "}}";
                 emit(s.str());
                 j++;
             }
-            if (firedHere) {
-                std::ostringstream c;
-                c << "{\"ph\": \"C\", \"pid\": 0, \"tid\": " << (d + 1)
-                  << ", \"ts\": " << (cyc * 1000)
+            std::ostringstream c;
+            c << "{\"ph\": \"C\", \"pid\": 0, \"tid\": " << (d + 1)
+              << ", \"ts\": " << (cyc * 1000) << ", \"name\": \"fired(domain "
+              << d << ")\", \"args\": {\"fired\": " << (j - i) << "}}";
+            emit(c.str());
+            // Drop the counter back to zero before the next active
+            // cycle so idle stretches render as idle.
+            uint64_t nextCyc =
+                j < b.events.size() ? b.events[j].cycle : cyc + 1;
+            if (nextCyc > cyc + 1) {
+                std::ostringstream z;
+                z << "{\"ph\": \"C\", \"pid\": 0, \"tid\": " << (d + 1)
+                  << ", \"ts\": " << ((cyc + 1) * 1000)
                   << ", \"name\": \"fired(domain " << d
-                  << ")\", \"args\": {\"fired\": " << firedHere << "}}";
-                emit(c.str());
-                // Drop the counter back to zero before the next active
-                // cycle so idle stretches render as idle.
-                uint64_t nextCyc =
-                    j < b.events.size() ? b.events[j].cycle : cyc + 1;
-                if (nextCyc > cyc + 1) {
-                    std::ostringstream z;
-                    z << "{\"ph\": \"C\", \"pid\": 0, \"tid\": " << (d + 1)
-                      << ", \"ts\": " << ((cyc + 1) * 1000)
-                      << ", \"name\": \"fired(domain " << d
-                      << ")\", \"args\": {\"fired\": 0}}";
-                    emit(z.str());
-                }
+                  << ")\", \"args\": {\"fired\": 0}}";
+                emit(z.str());
             }
             i = j;
         }

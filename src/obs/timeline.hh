@@ -14,9 +14,9 @@
  * Determinism: within one (domain, cycle) all three schedulers fire
  * rules in increasing schedule position, so per-domain buffers fill in
  * the canonical order (cycle, schedule position) without sorting, and
- * the exported JSON is byte-identical across schedulers (for fire
- * events; guard-fail recording is opt-in because attempt patterns are
- * scheduler-specific).
+ * the exported JSON is byte-identical across schedulers. Only fires
+ * are recorded: attempt patterns are scheduler-specific (the
+ * event-driven walk skips sleeping rules).
  */
 #pragma once
 
@@ -40,12 +40,11 @@ class RuleTimeline
     static constexpr uint64_t kMaxEventsPerDomain = 1u << 22;
 
     /** Build after Kernel::elaborate() (needs domains + schedule). */
-    RuleTimeline(const cmd::Kernel &k, bool recordGuardFails);
+    explicit RuleTimeline(const cmd::Kernel &k);
 
-    /** Hook target; called from KernelObserver::ruleFired/guardFailed
-     *  with @p domain = the rule's elaborated domain. */
-    void record(const cmd::Rule &r, uint64_t cycle, uint32_t domain,
-                bool guardFail);
+    /** Hook target; called from KernelObserver::ruleFired with
+     *  @p domain = the rule's elaborated domain. */
+    void record(const cmd::Rule &r, uint64_t cycle, uint32_t domain);
 
     /** Chrome trace-event JSON ({"traceEvents": [...]}). */
     bool write(std::ostream &os) const;
@@ -58,7 +57,6 @@ class RuleTimeline
     struct Ev {
         uint64_t cycle;
         uint32_t schedPos; ///< position in the elaborated schedule
-        bool guardFail;
     };
 
     struct DomainBuf {
@@ -67,7 +65,6 @@ class RuleTimeline
     };
 
     const cmd::Kernel &k_;
-    bool guardFails_;
     std::vector<DomainBuf> bufs_;
     /// rule names indexed by schedule position (stable post-elab)
     std::vector<std::string> ruleNames_;

@@ -68,14 +68,6 @@ struct SystemConfig {
      * count). Ignored by the sequential schedulers.
      */
     uint32_t threads = 0;
-    /**
-     * Cap on the parallel scheduler's multi-cycle sync window
-     * (lookahead), in cycles. 0 = auto: use the minimum latency over
-     * all cross-domain channels ("fifo-min"), computed at
-     * elaboration. The effective window is always min(cap, fifo-min).
-     * Ignored by the sequential schedulers.
-     */
-    uint32_t lookahead = 0;
 
     // ---- execution mode (see proc/sampling.hh and System::run*)
     /**

@@ -32,7 +32,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 {
     k_.setScheduler(cfg_.scheduler);
     k_.setParallelThreads(cfg_.threads);
-    k_.setLookahead(cfg_.lookahead);
     cfg_.mem.cores = cfg_.cores;
     host_ = std::make_unique<HostDevice>(cfg_.cores);
     hier_ = std::make_unique<MemHierarchy>(k_, "mem", mem_, cfg_.mem);

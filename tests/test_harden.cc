@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -20,6 +21,7 @@
 
 #include "core/cmd.hh"
 #include "cosim.hh"
+#include "workloads/workloads.hh"
 
 using namespace cmd;
 using riscy::test::digest;
@@ -139,6 +141,47 @@ TEST(Snapshot, RestoreThenRunReplaysBitExactly)
                 << "diverged " << i + 1 << " cycles after restore";
         }
     }
+}
+
+/**
+ * Snapshots carry no host state: two builds of one design in one
+ * process snapshot to the same bytes, before the first cycle and after
+ * a run. Committed values of padded structs (TLB entries, ...) must
+ * hold zeroed padding, not whatever the heap held.
+ */
+TEST(Snapshot, TwoBuildsSnapshotIdentically)
+{
+    using namespace riscy;
+    constexpr uint64_t kCycles = 20000;
+    const std::vector<workloads::Workload> ws = workloads::parsecWorkloads();
+    const workloads::Workload &w = ws.front(); // blackscholes
+    auto build = [&] {
+        SystemConfig cfg = SystemConfig::multicore(true);
+        auto sys = std::make_unique<System>(cfg);
+        workloads::Image img = w.build(*sys, cfg.cores);
+        sys->elaborate();
+        sys->start(img.entry, img.satp, img.stacks);
+        return sys;
+    };
+    auto differingBytes = [](const std::vector<uint8_t> &a,
+                             const std::vector<uint8_t> &b) {
+        EXPECT_EQ(a.size(), b.size());
+        size_t n = 0;
+        for (size_t i = 0; i < std::min(a.size(), b.size()); i++)
+            n += a[i] != b[i];
+        return n;
+    };
+
+    auto a = build();
+    auto b = build();
+    EXPECT_EQ(differingBytes(a->kernel().snapshot(), b->kernel().snapshot()),
+              0u)
+        << "before the first cycle";
+    a->kernel().run(kCycles);
+    b->kernel().run(kCycles);
+    EXPECT_EQ(differingBytes(a->kernel().snapshot(), b->kernel().snapshot()),
+              0u)
+        << "after " << kCycles << " cycles";
 }
 
 // ---------------------------------------------------------- fault injection

@@ -64,7 +64,6 @@ mkObsSys(Assembler &a, cmd::SchedulerKind kind,
     cfg.scheduler = kind;
     cfg.obs.pipeline = true;
     cfg.obs.timeline = true;
-    cfg.obs.timelineGuardFails = false;
     cfg.obs.cpi = true;
     // Record-only: tests read the in-memory sinks, nothing hits disk.
     cfg.obs.pipelinePath.clear();
@@ -307,21 +306,4 @@ TEST(ObsHub, SinksForEveryHart)
     }
     EXPECT_EQ(hub.cpi(33), nullptr);
     EXPECT_EQ(hub.timeline(), nullptr);
-}
-
-/** Guard-fail instants are recorded only when asked for. */
-TEST(ObsTimeline, GuardFailOptIn)
-{
-    Assembler a = obsProgram();
-    auto on = mkObsSys(a, cmd::SchedulerKind::EventDriven,
-                       [](SystemConfig &cfg) {
-                           cfg.obs.timelineGuardFails = true;
-                       });
-    auto off = mkObsSys(a, cmd::SchedulerKind::EventDriven);
-    on->kernel().run(3000);
-    off->kernel().run(3000);
-    std::string jOn = perfettoText(*on);
-    std::string jOff = perfettoText(*off);
-    EXPECT_NE(jOn.find("\"ph\": \"i\""), std::string::npos);
-    EXPECT_EQ(jOff.find("\"ph\": \"i\""), std::string::npos);
 }

@@ -189,8 +189,7 @@ struct DomainSoup {
                     break;
                   default:
                     k.rule(strfmt("d%uq%d", d, i), [=] {
-                        if (!requireFast(ra->read() % mod == rem))
-                            return;
+                        require(ra->read() % mod == rem);
                         rc->write(rc->read() + add);
                     });
                 }

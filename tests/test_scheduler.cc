@@ -36,15 +36,15 @@ TEST(Scheduler, SleepsOnFalseGuardAndWakesOnRuleCommit)
     EXPECT_EQ(consumer.guardAbortCount(), 1u);
     EXPECT_TRUE(consumer.asleep());
     EXPECT_EQ(consumer.lastOutcome(), Rule::Outcome::Sleeping);
-    EXPECT_EQ(k.sleepCount(), 1u);
-    EXPECT_GT(k.sleepSkipCount(), 0u);
+    EXPECT_EQ(k.report().sleeps, 1u);
+    EXPECT_GT(k.report().sleepSkips, 0u);
     EXPECT_EQ(out.read(), 0);
 
     // A rule committing the sensitivity register wakes the consumer.
     producer.setEnabled(true);
     k.run(2);
     EXPECT_FALSE(consumer.asleep());
-    EXPECT_GE(k.wakeCount(), 1u);
+    EXPECT_GE(k.report().wakes, 1u);
     EXPECT_GT(consumer.firedCount(), 0u);
     EXPECT_GT(out.read(), 0);
 }
@@ -63,6 +63,17 @@ TEST(Scheduler, WakesOnRunAtomically)
 
     k.run(3);
     ASSERT_TRUE(consumer.asleep());
+
+    // An action that fails a guard after a write rolls back: the
+    // write is discarded, one GuardFail is counted, nothing wakes.
+    const uint64_t throws = k.report().guardThrows;
+    EXPECT_FALSE(k.runAtomically([&] {
+        flag.write(1);
+        require(false);
+    }));
+    EXPECT_EQ(flag.read(), 0);
+    EXPECT_EQ(k.report().guardThrows, throws + 1);
+    EXPECT_TRUE(consumer.asleep());
 
     // The testbench poke commits flag, which must wake the consumer.
     EXPECT_TRUE(k.runAtomically([&] { flag.write(1); }));
@@ -162,68 +173,13 @@ TEST(Scheduler, GuardedBodyImplicitFailStaysAwake)
                    require(false);
                    out.write(1);
                }).when([&] { return gate.read() != 0; });
-    // Same for the no-throw form of the implicit guard.
-    Rule &fast = k.rule("fastHalfway", [&] {
-                      if (!requireFast(false))
-                          return;
-                      out.write(1);
-                  }).when([&] { return gate.read() != 0; });
     k.elaborate();
 
     k.run(3);
     EXPECT_FALSE(r.asleep());
     EXPECT_EQ(r.guardAbortCount(), 3u);
-    EXPECT_GE(k.guardThrowCount(), 3u);
-    EXPECT_FALSE(fast.asleep());
-    EXPECT_EQ(fast.guardAbortCount(), 3u);
-    EXPECT_EQ(k.fastGuardFailCount(), 3u);
+    EXPECT_GE(k.report().guardThrows, 3u);
     EXPECT_EQ(out.read(), 0);
-}
-
-TEST(Scheduler, RequireFastSkipsTheThrow)
-{
-    Kernel k;
-    k.setScheduler(SchedulerKind::EventDriven);
-    Reg<uint64_t> tick(k, "tick", 0);
-    Reg<uint64_t> out(k, "out", 0);
-    k.rule("tick", [&] { tick.write(tick.read() + 1); });
-    k.rule("feed", [&] {
-        if (!requireFast(tick.read() % 4 == 0))
-            return;
-        out.write(out.read() + 1);
-    });
-    k.elaborate();
-
-    k.run(8);
-    EXPECT_EQ(out.read(), 2u); // fired at tick==0 and tick==4
-    EXPECT_EQ(k.guardThrowCount(), 0u);
-    EXPECT_GT(k.fastGuardFailCount(), 0u);
-
-    // Inside runAtomically a failed requireFast() aborts the action
-    // without a throw and discards what it staged.
-    const uint64_t fastFails = k.fastGuardFailCount();
-    const uint64_t before = out.read();
-    bool done = true;
-    EXPECT_NO_THROW(done = k.runAtomically([&] {
-        out.write(out.read() + 100);
-        if (!requireFast(false))
-            return;
-    }));
-    EXPECT_FALSE(done);
-    EXPECT_EQ(out.read(), before);
-    EXPECT_EQ(k.fastGuardFailCount(), fastFails + 1);
-    EXPECT_EQ(k.guardThrowCount(), 0u);
-    // A passing check commits as usual.
-    EXPECT_TRUE(k.runAtomically([&] {
-        if (!requireFast(true))
-            return;
-        out.write(out.read() + 1);
-    }));
-    EXPECT_EQ(out.read(), before + 1);
-    EXPECT_EQ(k.fastGuardFailCount(), fastFails + 1);
-
-    // Outside any rule or atomic action it degrades to require().
-    EXPECT_THROW(requireFast(false), GuardFail);
 }
 
 TEST(Scheduler, SnapshotRestoreResetsSleepBookkeeping)
@@ -326,10 +282,9 @@ struct Soup {
                     rc->write(rb->read() ^ (rc->read() << 1));
                 });
                 break;
-              default: // implicit guard via requireFast()
+              default: // implicit guard on a single register
                 k.rule(strfmt("q%d", i), [=] {
-                    if (!requireFast(ra->read() % mod == rem))
-                        return;
+                    require(ra->read() % mod == rem);
                     rc->write(rc->read() + add);
                 });
             }
@@ -386,8 +341,8 @@ TEST(Scheduler, LockstepRandomSoups)
         }
         // The equivalence must not be vacuous: the event-driven run
         // actually slept rules and actually fired work.
-        EXPECT_GT(ev.k.sleepSkipCount(), 0u) << "seed " << seed;
-        EXPECT_LT(ev.k.ruleAttemptCount(), ex.k.ruleAttemptCount())
+        EXPECT_GT(ev.k.report().sleepSkips, 0u) << "seed " << seed;
+        EXPECT_LT(ev.k.report().attempts, ex.k.report().attempts)
             << "seed " << seed;
     }
 }
@@ -477,8 +432,8 @@ TEST(Scheduler, CompiledLockstepRandomSoups)
                 << "seed " << seed << ": parallel diverged at cycle "
                 << c + 1;
         }
-        EXPECT_GT(ev.k.sleepSkipCount(), 0u) << "seed " << seed;
-        EXPECT_LT(ev.k.ruleAttemptCount(), ex.k.ruleAttemptCount())
+        EXPECT_GT(ev.k.report().sleepSkips, 0u) << "seed " << seed;
+        EXPECT_LT(ev.k.report().attempts, ex.k.report().attempts)
             << "seed " << seed;
     }
 }
@@ -565,7 +520,7 @@ TEST(Scheduler, LockstepOooCore100kCycles)
         sys.kernel().run(kChunk);
         exDigests.push_back(digest(sys.kernel().snapshot()));
     }
-    uint64_t exAttempts = sys.kernel().ruleAttemptCount();
+    uint64_t exAttempts = sys.kernel().report().attempts;
 
     // Rewind to the start of time and replay under the event-driven
     // scheduler: every periodic digest must match the exhaustive run.
@@ -577,8 +532,8 @@ TEST(Scheduler, LockstepOooCore100kCycles)
             << "schedulers diverged by cycle " << c + kChunk;
     }
     // The equivalence must not be vacuous: the OOO core really slept.
-    uint64_t evAttempts = sys.kernel().ruleAttemptCount() - exAttempts;
-    EXPECT_GT(sys.kernel().sleepSkipCount(), 0u);
+    uint64_t evAttempts = sys.kernel().report().attempts - exAttempts;
+    EXPECT_GT(sys.kernel().report().sleepSkips, 0u);
     EXPECT_LT(evAttempts, exAttempts);
 }
 
