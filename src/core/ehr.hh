@@ -115,6 +115,8 @@ class Ehr : public StateBase
         std::fill(valid_.begin(), valid_.end(), false);
     }
 
+    size_t savedSize() const override { return sizeof(T); }
+
   private:
     bool
     touched() const

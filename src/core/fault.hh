@@ -8,8 +8,9 @@
  * site now raises a KernelFault instead: an exception carrying the
  * fault kind, the module/state it concerns, the rule and cycle it
  * happened under, and a recent-execution trace — uniform diagnostics
- * that a driver (System::run, HardenedRunner, a fault campaign) can
- * catch, classify, log, and recover from via checkpoint restore.
+ * that end the run (System::run and HardenedRunner let every fault
+ * propagate) and that a caller such as a fault campaign can catch,
+ * classify and log. Resuming is an explicit checkpoint restore.
  *
  * The throwing helper kfault() is defined in kernel.cc so it can pull
  * the rule/cycle/trace context from the execution context that is

@@ -1,12 +1,10 @@
 #include "core/harden.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 namespace cmd {
 
@@ -58,25 +56,26 @@ FaultPlan::describe() const
 
 // ------------------------------------------------------------ FaultInjector
 
-void
-FaultInjector::fillStateSizes()
+uint64_t
+FaultInjector::stateBits(uint32_t i) const
 {
-    if (stateSizes_.size() == kernel_.stateCount())
+    return uint64_t(kernel_.stateAt(i)->savedSize()) * 8;
+}
+
+void
+FaultInjector::fillFlipWeights()
+{
+    if (cumBits_.size() == kernel_.stateCount())
         return;
-    stateSizes_.clear();
     cumBits_.clear();
     totalBits_ = 0;
-    std::vector<uint8_t> buf;
     for (uint32_t i = 0; i < kernel_.stateCount(); i++) {
-        buf.clear();
-        kernel_.stateAt(i)->save(buf);
-        stateSizes_.push_back(buf.size());
         // Weight target selection by bit count so a wide register file
         // draws proportionally more strikes than a one-bit flag, but
         // cap the weight so megabit SRAM arrays (L2 data) -- mostly
         // cold lines on any given workload -- don't swallow the whole
         // campaign.
-        totalBits_ += std::min<uint64_t>(buf.size() * 8, kFlipWeightCap);
+        totalBits_ += std::min<uint64_t>(stateBits(i), kFlipWeightCap);
         cumBits_.push_back(totalBits_);
     }
 }
@@ -91,7 +90,7 @@ FaultInjector::planCampaign(uint64_t seed, uint32_t n, uint64_t maxCycle,
     if (kernel_.stateCount() == 0)
         kfault(FaultKind::ApiMisuse, "injector",
                "planCampaign() on a design with no registered state");
-    fillStateSizes();
+    fillFlipWeights();
 
     // A focused slice: bit flips only, confined to the states whose
     // name matches the filter, weighted by the same capped bit counts.
@@ -104,8 +103,7 @@ FaultInjector::planCampaign(uint64_t seed, uint32_t n, uint64_t maxCycle,
                 std::string::npos)
                 continue;
             pool.push_back(i);
-            poolTotal +=
-                std::min<uint64_t>(stateSizes_[i] * 8, kFlipWeightCap);
+            poolTotal += std::min<uint64_t>(stateBits(i), kFlipWeightCap);
             poolCum.push_back(poolTotal);
         }
         if (pool.empty())
@@ -156,7 +154,7 @@ FaultInjector::planCampaign(uint64_t seed, uint32_t n, uint64_t maxCycle,
                 cum.begin());
             s = std::min(s, uint32_t(cum.size()) - 1);
             p.target = pool.empty() ? s : pool[s];
-            p.bit = pick(std::max<uint64_t>(1, stateSizes_[p.target] * 8));
+            p.bit = pick(std::max<uint64_t>(1, stateBits(p.target)));
             p.targetName = kernel_.stateAt(p.target)->name();
             break;
           }
@@ -468,15 +466,6 @@ CheckpointManager::save()
 }
 
 bool
-CheckpointManager::hasCheckpoint() const
-{
-    if (saves_)
-        return true;
-    std::ifstream f(path_, std::ios::binary);
-    return f.good();
-}
-
-bool
 CheckpointManager::load()
 {
     std::ifstream f(path_, std::ios::binary);
@@ -506,14 +495,17 @@ CheckpointManager::load()
     p += 8; // cycle (informational; the kernel snapshot carries it too)
     uint64_t kernLen = get64(p);
     p += 8;
-    const uint8_t *end = in.data() + in.size() - 8;
-    if (p + kernLen + 8 > end)
+    // Bytes between the kernel length and the checksum. Compare the
+    // lengths read from the file as integers: a pointer formed from an
+    // arbitrary file length may point anywhere.
+    const uint64_t rest = uint64_t(in.data() + in.size() - 8 - p);
+    if (kernLen > rest || rest - kernLen < 8)
         kfault(FaultKind::Checkpoint, path_, "checkpoint lengths invalid");
     std::vector<uint8_t> kern(p, p + kernLen);
     p += kernLen;
     uint64_t payloadLen = get64(p);
     p += 8;
-    if (p + payloadLen != end)
+    if (payloadLen != rest - kernLen - 8)
         kfault(FaultKind::Checkpoint, path_, "checkpoint lengths invalid");
 
     kernel_.restore(kern);
@@ -535,89 +527,45 @@ HardenedRunner::HardenedRunner(Kernel &kernel, HardenedConfig cfg)
         ckpt_.emplace(kernel, cfg_.checkpointPath);
 }
 
-void
-HardenedRunner::degrade()
-{
-    switch (kernel_.scheduler()) {
-      case SchedulerKind::Parallel:
-        // Give straggler workers a bounded window to finish their
-        // slice of the aborted cycle so sequential execution does not
-        // overlap their commit bookkeeping. A truly wedged rule never
-        // quiesces; don't block recovery on it.
-        for (int i = 0; i < 200 && !kernel_.parallelQuiesced(); i++)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        kernel_.setScheduler(SchedulerKind::EventDriven);
-        break;
-      case SchedulerKind::EventDriven:
-        kernel_.setScheduler(SchedulerKind::Exhaustive);
-        break;
-      default: // Exhaustive: nowhere left to go; retries bound the loop
-        break;
-    }
-}
-
 bool
 HardenedRunner::run(const std::function<bool()> &done, uint64_t maxCycles)
 {
-    // Absolute cycle target: cycles re-executed after a checkpoint
-    // restore do not shrink the budget (the counter rewinds with the
-    // snapshot), so an uninterrupted and a restored run cover the
-    // same cycle range.
-    const uint64_t target = kernel_.cycleCount() + maxCycles;
+    const uint64_t start = kernel_.cycleCount();
+    const uint64_t target =
+        maxCycles > ~0ull - start ? ~0ull : start + maxCycles;
     uint64_t sincePoll = 0;
-    while (true) {
-        try {
-            while (kernel_.cycleCount() < target) {
-                if (done())
-                    return true;
-                // Lookahead-aware stepping: advance by the kernel's
-                // current sync stride (1 under sequential schedulers
-                // or per-cycle observers — exactly the old loop), but
-                // never past the target or across a checkpoint
-                // boundary, so checkpoints land exactly on multiples
-                // of checkpointEvery — which are sync epochs, the only
-                // points where every domain's state is coherent. done()
-                // is polled between windows; it may overshoot its
-                // condition by at most stride-1 cycles.
-                uint64_t step = kernel_.syncStride();
-                if (step > target - kernel_.cycleCount())
-                    step = target - kernel_.cycleCount();
-                if (cfg_.checkpointEvery && ckpt_) {
-                    uint64_t toCkpt =
-                        cfg_.checkpointEvery -
-                        (kernel_.cycleCount() % cfg_.checkpointEvery);
-                    if (step > toCkpt)
-                        step = toCkpt;
-                }
-                kernel_.run(step);
-                if (cfg_.checkpointEvery && ckpt_ &&
-                    kernel_.cycleCount() % cfg_.checkpointEvery == 0) {
-                    ckpt_->save();
-                }
-                sincePoll += step;
-                if (sincePoll >= cfg_.watchdogPollEvery) {
-                    sincePoll = 0;
-                    watchdog_.observe();
-                }
-            }
-            return done();
-        } catch (const KernelFault &f) {
-            faultLog_.push_back(f.describe());
-            if (retries_ >= cfg_.maxFaultRetries)
-                throw;
-            retries_++;
-            if (cfg_.degradeScheduler)
-                degrade();
-            // Rewind to the last good checkpoint when one exists;
-            // otherwise resume from the current (rolled-back) state —
-            // tryFire aborts the faulting rule's staged writes, so the
-            // design still sits at its last committed boundary.
-            if (ckpt_ && ckpt_->hasCheckpoint())
-                ckpt_->load();
-            watchdog_.reset();
+    while (kernel_.cycleCount() < target) {
+        if (done())
+            return true;
+        // Lookahead-aware stepping: advance by the kernel's current
+        // sync stride (1 under sequential schedulers or per-cycle
+        // observers), but never past the target or across a
+        // checkpoint boundary, so checkpoints land exactly on
+        // multiples of checkpointEvery — which are sync epochs, the
+        // only points where every domain's state is coherent. done()
+        // is polled between windows; it may overshoot its condition
+        // by at most stride-1 cycles.
+        uint64_t step = kernel_.syncStride();
+        if (step > target - kernel_.cycleCount())
+            step = target - kernel_.cycleCount();
+        if (cfg_.checkpointEvery && ckpt_) {
+            uint64_t toCkpt = cfg_.checkpointEvery -
+                              (kernel_.cycleCount() % cfg_.checkpointEvery);
+            if (step > toCkpt)
+                step = toCkpt;
+        }
+        kernel_.run(step);
+        if (cfg_.checkpointEvery && ckpt_ &&
+            kernel_.cycleCount() % cfg_.checkpointEvery == 0) {
+            ckpt_->save();
+        }
+        sincePoll += step;
+        if (sincePoll >= kWatchdogPollEvery) {
             sincePoll = 0;
+            watchdog_.observe();
         }
     }
+    return done();
 }
 
 } // namespace cmd

@@ -30,10 +30,10 @@
  *    mid-flight resumes bit-exactly.
  *
  *  - HardenedRunner composes them: drive cycles, poll the watchdog,
- *    checkpoint periodically; on any KernelFault restore the last
- *    checkpoint (when one exists), degrade the scheduler
- *    Parallel -> EventDriven -> Exhaustive, and retry up to a cap
- *    before rethrowing with full diagnostics.
+ *    checkpoint periodically. A KernelFault ends the run: it
+ *    propagates to the caller the first time it happens, on the
+ *    scheduler the caller set; resuming is an explicit
+ *    CheckpointManager::load().
  */
 #pragma once
 
@@ -136,14 +136,14 @@ class FaultInjector
     /** Bit-weight ceiling per state for flip-target selection. */
     static constexpr uint64_t kFlipWeightCap = 4096;
 
-    /// saved-byte size of every state element (filled lazily; the
-    /// sizes are fixed once the design is elaborated)
-    std::vector<size_t> stateSizes_;
-    /** Inclusive prefix sums of capped per-state bit weights. */
+    /** Inclusive prefix sums of capped per-state bit weights (filled
+     *  lazily; the sizes are fixed once the design is elaborated). */
     std::vector<uint64_t> cumBits_;
     uint64_t totalBits_ = 0;
 
-    void fillStateSizes();
+    /** Saved bits of state element @p i. */
+    uint64_t stateBits(uint32_t i) const;
+    void fillFlipWeights();
 };
 
 // ---------------------------------------------------------------- Watchdog
@@ -175,7 +175,7 @@ class Watchdog
     /** Record progress; throw KernelFault(Watchdog) on a stall. */
     void observe();
 
-    /** Re-baseline (after a checkpoint restore or scheduler switch). */
+    /** Re-baseline (after a checkpoint restore). */
     void reset();
 
     uint64_t stallCycles() const { return stallCycles_; }
@@ -227,9 +227,6 @@ class CheckpointManager
     /** @return false when no checkpoint file exists. */
     bool load();
 
-    /** True once save() succeeded at least once (or a file exists). */
-    bool hasCheckpoint() const;
-
     const std::string &path() const { return path_; }
     uint64_t savedCount() const { return saves_; }
 
@@ -250,20 +247,16 @@ class CheckpointManager
 struct HardenedConfig
 {
     uint64_t watchdogStallCycles = 100000;
-    /// cycles between watchdog polls (progress scan is O(rules))
-    uint64_t watchdogPollEvery = 1024;
     uint64_t checkpointEvery = 0; ///< cycles between checkpoints; 0 off
     std::string checkpointPath;   ///< required when checkpointEvery > 0
-    uint32_t maxFaultRetries = 3;
-    bool degradeScheduler = true; ///< Parallel -> Event -> Exhaustive
 };
 
 /**
- * Drives a kernel with watchdog, periodic checkpoints, and graceful
- * degradation. run() behaves like Kernel::runUntil() but catches
- * KernelFaults: each one is logged, the last checkpoint (if any) is
- * restored, the scheduler is degraded one step, and the run resumes —
- * up to maxFaultRetries, after which the fault is rethrown.
+ * Drives a kernel with a watchdog and periodic checkpoints. run()
+ * behaves like Kernel::runUntil(); any KernelFault (a watchdog trip,
+ * a design error, a barrier timeout) propagates out of it unchanged.
+ * The checkpoints are for the caller: after a fault it may load() the
+ * last one and run again.
  */
 class HardenedRunner
 {
@@ -275,25 +268,20 @@ class HardenedRunner
 
     /**
      * Run until @p done or until the kernel's cycle counter reaches
-     * its pre-run value + @p maxCycles (an absolute target, so cycles
-     * replayed after a checkpoint restore are not double-counted).
-     * @return true if @p done was satisfied.
+     * its pre-run value + @p maxCycles (saturating: ~0ull means no
+     * budget at any starting cycle). @return true if @p done was
+     * satisfied. Throws the first KernelFault raised.
      */
     bool run(const std::function<bool()> &done, uint64_t maxCycles);
 
-    uint32_t faultRetries() const { return retries_; }
-    /** describe() of every fault absorbed by the degradation ladder. */
-    const std::vector<std::string> &faultLog() const { return faultLog_; }
-
   private:
-    void degrade();
+    /// cycles between watchdog polls (the progress scan is O(rules))
+    static constexpr uint64_t kWatchdogPollEvery = 1024;
 
     Kernel &kernel_;
     HardenedConfig cfg_;
     Watchdog watchdog_;
     std::optional<CheckpointManager> ckpt_;
-    uint32_t retries_ = 0;
-    std::vector<std::string> faultLog_;
 };
 
 // ------------------------------------------------------ campaign taxonomy

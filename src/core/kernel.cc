@@ -879,9 +879,9 @@ Kernel::runParallelWindow(uint32_t width)
             // Stuck-worker detection: a domain failed to finish its
             // slice of the window within the budget. Name the
             // unfinished domains and fault instead of spinning
-            // forever. The pool is left wedged on the stuck rule —
-            // recovery means falling back to a sequential scheduler
-            // (which HardenedRunner's degradation ladder does).
+            // forever. The pool is left wedged on the stuck rule: a
+            // caller that unwedges it waits for parallelQuiesced()
+            // before running a sequential scheduler.
             barrierWaitNs_ += nsSince(t0);
             std::string stuck;
             for (uint32_t d = 0; d < domainCount_; d++) {
@@ -918,10 +918,9 @@ Kernel::runParallelWindow(uint32_t width)
     // Surface a worker-side fault, lowest domain first (deterministic
     // across interleavings). Barrier already reached: every other
     // domain completed its window normally. The faulting domain may
-    // have stopped mid-window; cycle_ already counts the full window
-    // (recovery restores a sync-epoch checkpoint, or accepts losing
-    // up to width-1 cycles of that domain's work — the same
-    // approximation class as the old mid-cycle resume).
+    // have stopped mid-window; cycle_ already counts the full window,
+    // so the state is not a legal sync epoch. The fault ends the run;
+    // a caller that resumes loads a sync-epoch checkpoint.
     for (uint32_t d = 0; d < domainCount_; d++) {
         if (domainFaults_[d]) {
             std::exception_ptr e = domainFaults_[d];
@@ -1544,18 +1543,22 @@ Kernel::restore(const std::vector<uint8_t> &snap)
 {
     if (inRule())
         kfault(FaultKind::ApiMisuse, "kernel", "restore() inside a rule");
-    if (snap.size() < sizeof(cycle_))
+    // Check the length before writing anything: a snapshot of another
+    // design must leave this one untouched, not half overwritten (or
+    // read past the end of a shorter buffer).
+    size_t need = sizeof(cycle_);
+    for (const StateBase *s : states_)
+        need += s->savedSize();
+    if (snap.size() != need)
         kfault(FaultKind::Checkpoint, "kernel",
-               "snapshot truncated (%zu bytes)", snap.size());
+               "snapshot size mismatch on restore (%zu bytes, design "
+               "needs %zu)",
+               snap.size(), need);
     const uint8_t *p = snap.data();
     std::copy_n(p, sizeof(cycle_), reinterpret_cast<uint8_t *>(&cycle_));
     p += sizeof(cycle_);
     for (StateBase *s : states_)
         s->restore(p);
-    if (p != snap.data() + snap.size())
-        kfault(FaultKind::Checkpoint, "kernel",
-               "snapshot size mismatch on restore (%zu bytes, consumed %zu)",
-               snap.size(), size_t(p - snap.data()));
     // Sleep bookkeeping does not survive a restore: every sensitivity
     // assumption was made against the overwritten state.
     wakeAll();

@@ -535,6 +535,8 @@ class StateBase
     virtual void save(std::vector<uint8_t> &out) const = 0;
     /** Restore the committed value from a snapshot buffer. */
     virtual void restore(const uint8_t *&in) = 0;
+    /** Bytes save() appends; fixed for the element's lifetime. */
+    virtual size_t savedSize() const = 0;
 
     /**
      * Latch the committed value for cross-domain readers. Called on
@@ -960,10 +962,10 @@ class Kernel
     /**
      * True when every domain of the last started parallel cycle has
      * finished its slice, i.e. the pool is parked between cycles.
-     * After a barrier-timeout KernelFault, recovery code that has
-     * unwedged (or given up on) the stuck rule must poll this before
-     * running a sequential scheduler: a straggler worker finishing its
-     * commit bookkeeping must not overlap sequential execution.
+     * After a barrier-timeout KernelFault, a caller that has unwedged
+     * the stuck rule must poll this before running a sequential
+     * scheduler: a straggler worker finishing its commit bookkeeping
+     * must not overlap sequential execution.
      */
     bool parallelQuiesced() const
     {
@@ -976,8 +978,9 @@ class Kernel
      * a worker fails to finish its domains within the budget the main
      * thread raises a KernelFault(Watchdog) naming the unfinished
      * domains instead of spinning forever — the stuck-worker detector.
-     * After such a fault the pool is poisoned: recover by switching to
-     * a sequential scheduler (HardenedRunner's fallback does).
+     * After such a fault the pool stays wedged on the stuck rule until
+     * it returns; a caller that unwedges it waits for
+     * parallelQuiesced(), then continues on a sequential scheduler.
      */
     void setBarrierTimeoutNs(uint64_t ns) { barrierTimeoutNs_ = ns; }
     uint64_t barrierTimeoutNs() const { return barrierTimeoutNs_; }

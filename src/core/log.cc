@@ -38,8 +38,8 @@ panic(const char *fmt, ...)
     std::string s = vstrfmt(fmt, ap);
     va_end(ap);
     // Design-invariant violations surface as structured, catchable
-    // faults so drivers (System::run, HardenedRunner, fault campaigns)
-    // can classify and recover instead of losing the whole process.
+    // faults: they end System::run with full diagnostics, and fault
+    // campaigns can classify them instead of losing the whole process.
     kfault(FaultKind::DesignError, "", "%s", s.c_str());
 }
 

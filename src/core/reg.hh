@@ -104,6 +104,8 @@ class Reg final : public StateBase
         stableCycle_ = ~0ull;
     }
 
+    size_t savedSize() const override { return sizeof(T); }
+
   private:
     T cur_;
     T staged_{};
@@ -282,6 +284,8 @@ class EpochCounter final : public StateBase
         stagedValid_ = false;
     }
 
+    size_t savedSize() const override { return 8 * (4 + 2 * hist_.size()); }
+
   private:
     struct Entry
     {
@@ -431,6 +435,8 @@ class RegArray final : public StateBase
         history_.clear();
         historyCycle_ = ~0ull;
     }
+
+    size_t savedSize() const override { return sizeof(T) * cur_.size(); }
 
   private:
     size_t

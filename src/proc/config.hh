@@ -96,10 +96,13 @@ struct SystemConfig {
     uint64_t checkpointEvery = 0;
     /** Checkpoint file (required when checkpointEvery > 0). */
     std::string checkpointPath;
-    /** KernelFaults absorbed (restore + degrade) before giving up. */
-    uint32_t maxFaultRetries = 3;
-    /** Degrade Parallel -> EventDriven -> Exhaustive on a fault. */
-    bool degradeScheduler = true;
+    /**
+     * Retired: nothing reads these two, since a KernelFault ends
+     * System::run. They stay only because perfbench/perf_e2e.cc still
+     * sets them.
+     */
+    uint32_t maxFaultRetries = 0;
+    bool degradeScheduler = false;
 
     // ---- observability (see obs/obs_config.hh and System::elaborate)
     /** Trace/attribution sinks: Konata pipeline traces, Perfetto rule

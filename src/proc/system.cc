@@ -231,8 +231,6 @@ System::runner()
         hc.watchdogStallCycles = cfg_.watchdogStallCycles;
         hc.checkpointEvery = cfg_.checkpointEvery;
         hc.checkpointPath = cfg_.checkpointPath;
-        hc.maxFaultRetries = cfg_.maxFaultRetries;
-        hc.degradeScheduler = cfg_.degradeScheduler;
         runner_ = std::make_unique<HardenedRunner>(k_, hc);
         // Heartbeat = architectural progress: committed instructions
         // plus exit flags (an exiting hart commits nothing more but

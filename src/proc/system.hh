@@ -3,7 +3,8 @@
  * System assembly: cores (OOO or in-order) + the coherent memory
  * hierarchy + host device, per Fig. 11. Also provides the hardened
  * run loop (core/harden.hh): commit-progress watchdog, wall-clock
- * budget, periodic checkpoints, and graceful scheduler degradation.
+ * budget and periodic checkpoints. A KernelFault ends the run; resume
+ * is an explicit restoreCheckpoint().
  */
 #pragma once
 
@@ -53,10 +54,9 @@ class System
      * wall-clock budget runs out — stopReason() says which. Driven by
      * a cmd::HardenedRunner: if no instruction commits for
      * SystemConfig::watchdogStallCycles, the watchdog raises a
-     * KernelFault(Watchdog) with full diagnostics; with checkpoints
-     * or scheduler degradation enabled the fault is absorbed and the
-     * run resumes, up to maxFaultRetries. @return true if all harts
-     * exited cleanly.
+     * KernelFault(Watchdog) with full diagnostics. Any KernelFault
+     * propagates out of run() the first time it happens, with the
+     * scheduler unchanged. @return true if all harts exited cleanly.
      */
     bool run(uint64_t maxCycles);
 
@@ -120,9 +120,11 @@ class System
      */
     bool restoreCheckpoint();
 
-    /** Faults absorbed by the degradation ladder during run(). */
-    const std::vector<std::string> &faultLog() { return runner().faultLog(); }
-    uint32_t faultRetries() { return runner().faultRetries(); }
+    /**
+     * Retired: always 0, since run() no longer absorbs faults. Kept
+     * only because perfbench/perf_e2e.cc still calls it.
+     */
+    uint32_t faultRetries() const { return 0; }
 
     uint64_t instret(uint32_t i) const;
     void setOnCommit(uint32_t i, std::function<void(const CommitRecord &)>);

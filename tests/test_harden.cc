@@ -4,8 +4,9 @@
  * every state type, deterministic fault injection, the forward-
  * progress watchdog under all three schedulers, the stuck-worker
  * barrier timeout, checkpoint/restore to disk with corruption
- * detection, the HardenedRunner degradation ladder, and System-level
- * crash recovery with commit-stream digest equality.
+ * detection, HardenedRunner (a fault ends the run; resuming is an
+ * explicit checkpoint load), and System-level crash recovery with
+ * commit-stream digest equality.
  */
 #include <gtest/gtest.h>
 
@@ -611,7 +612,7 @@ TEST(Watchdog, BarrierTimeoutNamesStuckDomain)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ASSERT_TRUE(k.parallelQuiesced());
 
-    // Graceful degradation: the sequential schedulers still work.
+    // Recovery: the sequential schedulers still work.
     k.setScheduler(SchedulerKind::EventDriven);
     uint64_t before = b->read();
     k.run(3);
@@ -625,12 +626,10 @@ TEST(Checkpoint, DiskRoundTripReplaysBitExactly)
     TmpFile f("roundtrip");
     AllState d;
     CheckpointManager ck(d.k, f.path);
-    EXPECT_FALSE(ck.hasCheckpoint());
     EXPECT_FALSE(ck.load());
 
     d.k.run(64);
     ck.save();
-    EXPECT_TRUE(ck.hasCheckpoint());
     EXPECT_EQ(ck.savedCount(), 1u);
 
     std::vector<uint64_t> ref;
@@ -705,11 +704,65 @@ TEST(Checkpoint, CorruptionIsDetected)
         out.write(head.data(), std::streamsize(head.size()));
     }
     EXPECT_THROW(ck.load(), KernelFault);
+
+    // A valid checkpoint of a different design passes the checksum;
+    // the kernel must reject it on size before writing any state,
+    // whether the file holds fewer bytes than the design needs or more.
+    TmpFile fOther("corrupt_other");
+    DrainDigest other;
+    other.k.run(20);
+    CheckpointManager ckOther(other.k, fOther.path);
+    ckOther.save();
+    ck.save();
+    ASSERT_NE(d.k.snapshot().size(), other.k.snapshot().size());
+    auto expectRejected = [](Kernel &k, const std::string &path) {
+        const uint64_t snapBefore = digest(k.snapshot());
+        CheckpointManager foreign(k, path);
+        try {
+            foreign.load();
+            ADD_FAILURE() << "checkpoint of another design loaded";
+        } catch (const KernelFault &f2) {
+            EXPECT_EQ(f2.kind(), FaultKind::Checkpoint) << f2.describe();
+        }
+        EXPECT_EQ(digest(k.snapshot()), snapBefore)
+            << "a rejected restore wrote state";
+    };
+    expectRejected(d.k, fOther.path);  // shorter than the design needs
+    expectRejected(other.k, f.path);   // longer than the design needs
+
+    // A correctly checksummed file whose kernel length overruns the
+    // file must be rejected before any bytes are copied.
+    std::vector<uint8_t> bytes;
+    {
+        std::ifstream in(f.path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 36u);
+    const uint64_t kernLen = ~0ull - 15;
+    for (int i = 0; i < 8; i++) // kernLen follows magic, version, cycle
+        bytes[20 + i] = uint8_t(kernLen >> (8 * i));
+    uint64_t sum = CheckpointManager::fnv1a(bytes.data(), bytes.size() - 8);
+    for (int i = 0; i < 8; i++)
+        bytes[bytes.size() - 8 + i] = uint8_t(sum >> (8 * i));
+    {
+        std::ofstream out(f.path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  std::streamsize(bytes.size()));
+    }
+    const uint64_t before = digest(d.k.snapshot());
+    try {
+        ck.load();
+        FAIL() << "checkpoint with an overrunning length loaded";
+    } catch (const KernelFault &f2) {
+        EXPECT_EQ(f2.kind(), FaultKind::Checkpoint);
+    }
+    EXPECT_EQ(digest(d.k.snapshot()), before);
 }
 
 // ---------------------------------------------------------- HardenedRunner
 
-TEST(HardenedRunner, AbsorbsFaultAndDegradesScheduler)
+TEST(HardenedRunner, FaultPropagatesAndKeepsScheduler)
 {
     Kernel k;
     k.setScheduler(SchedulerKind::EventDriven);
@@ -727,62 +780,73 @@ TEST(HardenedRunner, AbsorbsFaultAndDegradesScheduler)
     HardenedConfig hc;
     hc.watchdogStallCycles = 0; // this test exercises the fault path
     HardenedRunner hr(k, hc);
-    EXPECT_TRUE(hr.run([&] { return t.read() >= 300; }, 10000));
-    EXPECT_EQ(hr.faultRetries(), 1u);
-    ASSERT_EQ(hr.faultLog().size(), 1u);
-    EXPECT_NE(hr.faultLog()[0].find("injected failure"), std::string::npos);
-    EXPECT_EQ(k.scheduler(), SchedulerKind::Exhaustive)
-        << "EventDriven should have degraded one step";
-    EXPECT_EQ(t.read(), 300u);
+    try {
+        hr.run([&] { return t.read() >= 300; }, 10000);
+        FAIL() << "the runner absorbed the fault";
+    } catch (const KernelFault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::DesignError);
+        EXPECT_NE(f.message().find("injected failure"), std::string::npos);
+    }
+    EXPECT_EQ(t.read(), 100u) << "the faulting rule's write must roll back";
+    EXPECT_EQ(k.scheduler(), SchedulerKind::EventDriven)
+        << "a fault must not switch the scheduler";
 }
 
-TEST(HardenedRunner, RestoresCheckpointOnWatchdogTrip)
+namespace {
+
+/**
+ * Drive a permanently wedged design under a runner with checkpoints
+ * every 64 cycles until the watchdog trips. The trip must end the run
+ * at once: one fault, no checkpoint restored behind the caller's back,
+ * the scheduler unchanged. The last checkpoint then loads at a cycle
+ * that is both a checkpoint multiple and a sync epoch.
+ */
+void
+expectWatchdogTripEndsRun(Wedgeable &d, const std::string &path)
 {
-    TmpFile f("wdrestore");
-    // Permanently wedged after the producer cap: every retry restores
-    // the checkpoint and re-starves, so the runner must give up after
-    // maxFaultRetries and rethrow with the full fault log.
-    Wedgeable d(SchedulerKind::EventDriven, 10);
+    constexpr uint64_t kEvery = 64;
+    const SchedulerKind kind = d.k.scheduler();
     HardenedConfig hc;
     hc.watchdogStallCycles = 100;
-    hc.watchdogPollEvery = 16;
-    hc.checkpointEvery = 64;
-    hc.checkpointPath = f.path;
-    hc.maxFaultRetries = 2;
+    hc.checkpointEvery = kEvery;
+    hc.checkpointPath = path;
     HardenedRunner hr(d.k, hc);
     hr.watchdog().setHeartbeat([&] { return d.consumed->read(); });
+    uint32_t loads = 0;
+    hr.checkpoints()->setPayloadHooks(
+        [] { return std::vector<uint8_t>(); },
+        [&](const std::vector<uint8_t> &) { loads++; });
 
-    EXPECT_THROW(hr.run([] { return false; }, 100000), KernelFault);
-    EXPECT_EQ(hr.faultRetries(), 2u);
-    EXPECT_EQ(hr.faultLog().size(), 3u); // 2 absorbed + the rethrown one
+    uint32_t faults = 0;
+    try {
+        hr.run([] { return false; }, 100000);
+    } catch (const KernelFault &f) {
+        faults++;
+        EXPECT_EQ(f.kind(), FaultKind::Watchdog) << f.describe();
+    }
+    EXPECT_EQ(faults, 1u);
+    EXPECT_EQ(loads, 0u) << "the runner restored a checkpoint itself";
+    EXPECT_EQ(d.k.scheduler(), kind);
+    // The runner clamps its stride at checkpoint boundaries, so saves
+    // really happened (a checkpoint misaligned with the window would
+    // simply never be reached and this count would be zero).
     EXPECT_GT(hr.checkpoints()->savedCount(), 0u);
+
+    const uint64_t window = d.k.syncStride();
+    ASSERT_TRUE(hr.checkpoints()->load());
+    EXPECT_EQ(loads, 1u);
+    EXPECT_GT(d.k.cycleCount(), 0u);
+    EXPECT_EQ(d.k.cycleCount() % kEvery, 0u);
+    EXPECT_EQ(d.k.cycleCount() % window, 0u);
 }
 
-TEST(HardenedRunner, CompletesAfterRestoreWhenFaultIsTransient)
-{
-    TmpFile f("transient");
-    Kernel k;
-    Reg<uint64_t> t(k, "t", 0);
-    bool armed = true;
-    k.rule("run", [&] {
-        if (armed && t.read() == 500) {
-            armed = false;
-            kfault(FaultKind::DesignError, "testmod", "transient blip");
-        }
-        t.write(t.read() + 1);
-    });
-    k.elaborate();
+} // namespace
 
-    HardenedConfig hc;
-    hc.watchdogStallCycles = 0;
-    hc.checkpointEvery = 128;
-    hc.checkpointPath = f.path;
-    HardenedRunner hr(k, hc);
-    // The restore rewinds t below 500; the disarmed closure lets the
-    // replay pass. The absolute cycle budget must still be honored.
-    EXPECT_TRUE(hr.run([&] { return t.read() >= 1000; }, 100000));
-    EXPECT_EQ(t.read(), 1000u);
-    EXPECT_EQ(hr.faultRetries(), 1u);
+TEST(HardenedRunner, WatchdogTripPropagatesWithCheckpoints)
+{
+    TmpFile f("wdtrip");
+    Wedgeable d(SchedulerKind::EventDriven, 10);
+    expectWatchdogTripEndsRun(d, f.path);
 }
 
 // ------------------------------------- hardening under lookahead > 1
@@ -822,94 +886,114 @@ TEST(Checkpoint, WindowedDiskRoundTripReplaysBitExactly)
     }
 }
 
-TEST(HardenedRunner, WindowedWatchdogTripRestoresSyncEpochCheckpoint)
+TEST(HardenedRunner, WindowedWatchdogTripLeavesSyncEpochCheckpoint)
 {
     TmpFile f("wdwindow");
-    // Permanently wedged under 4-cycle windows: every retry restores
-    // the sync-epoch checkpoint and re-starves.
+    // Permanently wedged under 4-cycle windows.
     Wedgeable d(SchedulerKind::Parallel, 10, 4, 2);
     ASSERT_TRUE(d.k.parallelActive());
     ASSERT_EQ(d.k.effectiveLookahead(), 4u);
-    HardenedConfig hc;
-    hc.watchdogStallCycles = 100;
-    hc.watchdogPollEvery = 16;
-    hc.checkpointEvery = 64;
-    hc.checkpointPath = f.path;
-    hc.maxFaultRetries = 2;
-    HardenedRunner hr(d.k, hc);
-    hr.watchdog().setHeartbeat([&] { return d.consumed->read(); });
-
-    EXPECT_THROW(hr.run([] { return false; }, 100000), KernelFault);
-    EXPECT_EQ(hr.faultRetries(), 2u);
-    EXPECT_EQ(hr.faultLog().size(), 3u);
-    // The runner clamps its stride at checkpoint boundaries, so saves
-    // really happened (a checkpoint misaligned with the window would
-    // simply never be reached and this count would be zero).
-    EXPECT_GT(hr.checkpoints()->savedCount(), 0u);
+    expectWatchdogTripEndsRun(d, f.path);
 }
+
+namespace {
+
+/**
+ * Two domains over a latency-4 channel; when armed, the producer
+ * faults once, mid-window, at t == 500.
+ */
+struct WindowedBlip
+{
+    Kernel k;
+    std::unique_ptr<Reg<uint64_t>> t, consumed;
+    std::unique_ptr<TimedFifo<uint64_t>> chan;
+    bool armed;
+
+    explicit WindowedBlip(bool arm) : armed(arm)
+    {
+        {
+            DomainHint left(k, "left");
+            t = std::make_unique<Reg<uint64_t>>(k, "t", 0);
+        }
+        {
+            DomainHint right(k, "right");
+            consumed = std::make_unique<Reg<uint64_t>>(k, "consumed", 0);
+        }
+        chan = std::make_unique<TimedFifo<uint64_t>>(k, "chan", 4, 4);
+        {
+            DomainHint left(k, "left");
+            k.rule("produce", [this] {
+                 if (armed && t->read() == 500) {
+                     armed = false;
+                     kfault(FaultKind::DesignError, "testmod",
+                            "mid-window blip");
+                 }
+                 if (chan->canEnq())
+                     chan->enq(t->read());
+                 t->write(t->read() + 1);
+             }).uses({&chan->enqM});
+        }
+        {
+            DomainHint right(k, "right");
+            k.rule("consume", [this] {
+                 consumed->write(consumed->read() + chan->deq());
+             })
+                .when([this] { return chan->canDeq(); })
+                .uses({&chan->deqM});
+        }
+        k.setScheduler(SchedulerKind::Parallel);
+        k.setParallelThreads(2);
+        k.elaborate();
+    }
+};
+
+} // namespace
 
 TEST(HardenedRunner, WindowedTransientFaultCompletesAfterRestore)
 {
     TmpFile f("wtransient");
-    // Two domains over a latency-4 channel; the producer faults once
-    // mid-window at t == 500. The fault is rethrown at the next sync
-    // barrier, the runner restores the last sync-epoch checkpoint
-    // (rewinding the skewed window), degrades Parallel to the
-    // sequential event-driven scheduler, and still reaches the target.
-    Kernel k;
-    std::unique_ptr<Reg<uint64_t>> t, consumed;
-    std::unique_ptr<TimedFifo<uint64_t>> chan;
-    bool armed = true;
-    {
-        DomainHint left(k, "left");
-        t = std::make_unique<Reg<uint64_t>>(k, "t", 0);
-    }
-    {
-        DomainHint right(k, "right");
-        consumed = std::make_unique<Reg<uint64_t>>(k, "consumed", 0);
-    }
-    chan = std::make_unique<TimedFifo<uint64_t>>(k, "chan", 4, 4);
-    {
-        DomainHint left(k, "left");
-        k.rule("produce", [&] {
-             if (armed && t->read() == 500) {
-                 armed = false;
-                 kfault(FaultKind::DesignError, "testmod",
-                        "mid-window blip");
-             }
-             if (chan->canEnq())
-                 chan->enq(t->read());
-             t->write(t->read() + 1);
-         }).uses({&chan->enqM});
-    }
-    {
-        DomainHint right(k, "right");
-        k.rule("consume", [&] {
-             consumed->write(consumed->read() + chan->deq());
-         })
-            .when([&] { return chan->canDeq(); })
-            .uses({&chan->deqM});
-    }
-    k.setScheduler(SchedulerKind::Parallel);
-    k.setParallelThreads(2);
-    k.elaborate();
-    ASSERT_TRUE(k.parallelActive());
-    ASSERT_EQ(k.effectiveLookahead(), 4u);
+    // The mid-window fault surfaces at the next sync barrier and ends
+    // the run. The caller loads the last sync-epoch checkpoint (which
+    // rewinds the skewed window) and runs again, still in parallel;
+    // the result matches a run that never faulted.
+    WindowedBlip d(true);
+    ASSERT_TRUE(d.k.parallelActive());
+    const uint64_t window = d.k.effectiveLookahead();
+    ASSERT_EQ(window, 4u);
 
     HardenedConfig hc;
     hc.watchdogStallCycles = 0;
     hc.checkpointEvery = 128;
     hc.checkpointPath = f.path;
-    HardenedRunner hr(k, hc);
-    EXPECT_TRUE(hr.run([&] { return t->read() >= 1000; }, 100000));
+    HardenedRunner hr(d.k, hc);
+    auto done = [&] { return d.t->read() >= 1000; };
+    try {
+        hr.run(done, 100000);
+        FAIL() << "the runner absorbed the fault";
+    } catch (const KernelFault &e) {
+        EXPECT_EQ(e.kind(), FaultKind::DesignError);
+        EXPECT_NE(e.message().find("mid-window blip"), std::string::npos);
+    }
+    // Surfaced at the barrier: the window that faulted has been
+    // counted in full, while the producer's domain stopped at t == 500.
+    EXPECT_EQ(d.t->read(), 500u);
+    EXPECT_GT(d.k.cycleCount(), 500u);
+    EXPECT_EQ(d.k.cycleCount() % window, 0u);
+    EXPECT_EQ(d.k.scheduler(), SchedulerKind::Parallel);
+
+    ASSERT_TRUE(hr.checkpoints()->load());
+    EXPECT_EQ(d.k.cycleCount(), 384u); // last multiple of 128 before 504
+    EXPECT_TRUE(hr.run(done, 100000));
     // done() is polled at window boundaries, so the target may be
     // overshot by at most stride-1 cycles.
-    EXPECT_GE(t->read(), 1000u);
-    EXPECT_LE(t->read(), 1003u);
-    EXPECT_EQ(hr.faultRetries(), 1u);
-    EXPECT_EQ(k.scheduler(), SchedulerKind::EventDriven)
-        << "Parallel should degrade to the checked sequential walk";
-    EXPECT_GT(consumed->read(), 0u);
+    EXPECT_GE(d.t->read(), 1000u);
+    EXPECT_LE(d.t->read(), 1003u);
+    EXPECT_GT(d.consumed->read(), 0u);
+
+    WindowedBlip clean(false);
+    clean.k.run(d.k.cycleCount());
+    EXPECT_EQ(digest(clean.k.snapshot()), digest(d.k.snapshot()))
+        << "the resumed run diverged from a fault-free one";
 }
 
 // ------------------------------------------------- System crash recovery
@@ -1062,7 +1146,47 @@ TEST(SystemRun, WallClockBudgetTrips)
     a.load(sys.mem(), test::kEntry);
     sys.elaborate();
     sys.start(test::kEntry, 0, {test::kStackTop});
-    EXPECT_FALSE(sys.run(~0ull >> 1));
+    // A budget of ~0ull means "none" at any starting cycle, not a
+    // target that wraps below the current one.
+    EXPECT_FALSE(sys.run(100));
+    EXPECT_EQ(sys.stopReason(), StopReason::MaxCycles);
+    EXPECT_FALSE(sys.run(~0ull));
     EXPECT_EQ(sys.stopReason(), StopReason::WallClock);
     EXPECT_STREQ(toString(sys.stopReason()), "wall-clock");
+}
+
+/**
+ * A hang ends System::run with the first watchdog trip, on the
+ * scheduler the config chose: no retry on a slower scheduler first.
+ */
+TEST(SystemRun, WatchdogTripEndsRun)
+{
+    using namespace riscy;
+    constexpr uint64_t kStall = 5000;
+    auto a = storeLoadLoop();
+    SystemConfig cfg = SystemConfig::riscyooB();
+    cfg.cores = 1;
+    cfg.scheduler = cmd::SchedulerKind::EventDriven;
+    cfg.watchdogStallCycles = kStall;
+    System sys(cfg);
+    a.load(sys.mem(), test::kEntry);
+    sys.elaborate();
+    Rule *commit = nullptr;
+    for (Rule *r : sys.kernel().rules()) {
+        if (r->name() == "hart0.doCommit")
+            commit = r;
+    }
+    ASSERT_NE(commit, nullptr);
+    commit->setEnabled(false);
+    sys.start(test::kEntry, 0, {test::kStackTop});
+
+    try {
+        sys.run(100 * kStall);
+        FAIL() << "a run that commits nothing finished without a fault";
+    } catch (const KernelFault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::Watchdog) << f.describe();
+    }
+    EXPECT_LE(sys.kernel().cycleCount(), 2 * kStall);
+    EXPECT_EQ(sys.kernel().scheduler(), cmd::SchedulerKind::EventDriven);
+    EXPECT_EQ(sys.instret(0), 0u);
 }
