@@ -234,25 +234,19 @@ FaultInjector::apply(const FaultPlan &p)
         const uint8_t *ptr = buf.data();
         s->restore(ptr);
         kernel_.pokeState(s);
-        applied_++;
         return true;
       }
       case FaultType::MsgDrop: {
         const auto &chans = kernel_.channelPorts();
         if (chans.empty())
             return false;
-        bool hit = chans[p.target % chans.size()]->faultDropHead();
-        applied_ += hit;
-        return hit;
+        return chans[p.target % chans.size()]->faultDropHead();
       }
       case FaultType::MsgDelay: {
         const auto &chans = kernel_.channelPorts();
         if (chans.empty())
             return false;
-        bool hit =
-            chans[p.target % chans.size()]->faultDelayHead(p.param);
-        applied_ += hit;
-        return hit;
+        return chans[p.target % chans.size()]->faultDelayHead(p.param);
       }
       case FaultType::GuardStuck: {
         const auto &rules = kernel_.rules();
@@ -262,7 +256,6 @@ FaultInjector::apply(const FaultPlan &p)
         if (!r->enabled())
             return false;
         r->setEnabled(false);
-        applied_++;
         return true;
       }
     }

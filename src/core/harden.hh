@@ -127,11 +127,8 @@ class FaultInjector
     /** End a GuardStuck window: re-enable the target rule. */
     void release(const FaultPlan &p);
 
-    uint64_t appliedCount() const { return applied_; }
-
   private:
     Kernel &kernel_;
-    uint64_t applied_ = 0;
 
     /** Bit-weight ceiling per state for flip-target selection. */
     static constexpr uint64_t kFlipWeightCap = 4096;

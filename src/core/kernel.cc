@@ -213,6 +213,10 @@ Method::subcalls(std::initializer_list<const Method *> ms)
 Module::Module(Kernel &kernel, std::string name, Conflict defaultCm)
     : kernel_(kernel), name_(std::move(name)), defaultCm_(defaultCm)
 {
+    // An LT/GT default would declare both a<b and b<a for every pair.
+    if (defaultCm_ != Conflict::C && defaultCm_ != Conflict::CF)
+        kfault(FaultKind::DesignError, name_,
+               "default CM must be C or CF, not %s", toString(defaultCm_));
     kernel_.registerModule(this);
 }
 
@@ -227,8 +231,11 @@ Module::method(const std::string &name)
     if (methods_.size() >= 64)
         kfault(FaultKind::DesignError, name_,
                "more than 64 methods in one module");
-    methods_.emplace_back(Method(*this, name,
-                                 static_cast<uint32_t>(methods_.size())));
+    uint32_t n = static_cast<uint32_t>(methods_.size());
+    methods_.emplace_back(Method(*this, name, n));
+    writeCm(n, n, Conflict::C);
+    for (uint32_t i = 0; i < n; i++)
+        writeCm(i, n, defaultCm_);
     return methods_.back();
 }
 
@@ -239,17 +246,34 @@ Module::setCm(const Method &a, const Method &b, Conflict rel)
         kfault(FaultKind::ApiMisuse, name_, "CM changed after elaboration");
     if (&a.owner() != this || &b.owner() != this)
         kfault(FaultKind::DesignError, name_, "CM entry for foreign method");
-    cmOverride_[{a.localIndex(), b.localIndex()}] = rel;
-    cmOverride_[{b.localIndex(), a.localIndex()}] = invert(rel);
+    if (&a == &b && rel != Conflict::C && rel != Conflict::CF)
+        kfault(FaultKind::DesignError, name_,
+               "self CM entry for '%s' must be C or CF, not %s",
+               a.name().c_str(), toString(rel));
+    writeCm(a.localIndex(), b.localIndex(), rel);
 }
 
-Conflict
-Module::cm(const Method &a, const Method &b) const
+void
+Module::writeCm(uint32_t ai, uint32_t bi, Conflict rel)
 {
-    auto it = cmOverride_.find({a.localIndex(), b.localIndex()});
-    if (it != cmOverride_.end())
-        return it->second;
-    return a.localIndex() == b.localIndex() ? Conflict::C : defaultCm_;
+    // CM(a, b) = rel lives in b's masks under a's bit; the mirrored
+    // CM(b, a) = invert(rel) in a's masks under b's bit.
+    Method &a = methods_[ai], &b = methods_[bi];
+    uint64_t aBit = 1ull << ai, bBit = 1ull << bi;
+    a.illegalBeforeMask_ &= ~bBit;
+    a.intraConflictMask_ &= ~bBit;
+    b.illegalBeforeMask_ &= ~aBit;
+    b.intraConflictMask_ &= ~aBit;
+    if (rel == Conflict::C) {
+        a.illegalBeforeMask_ |= bBit;
+        a.intraConflictMask_ |= bBit;
+        b.illegalBeforeMask_ |= aBit;
+        b.intraConflictMask_ |= aBit;
+    } else if (rel == Conflict::GT) {
+        b.illegalBeforeMask_ |= aBit;
+    } else if (rel == Conflict::LT) {
+        a.illegalBeforeMask_ |= bBit;
+    }
 }
 
 void
@@ -1058,7 +1082,7 @@ uint64_t
 Kernel::run(uint64_t n)
 {
     // The multi-cycle lookahead driver: under the parallel scheduler
-    // (and no per-cycle observer) advance in sync windows of up to
+    // (and no observer installed) advance in sync windows of up to
     // effectiveLookahead() cycles — one barrier per window instead of
     // one per cycle. Stops exactly at n. Sequential schedulers and
     // cycle()/runUntil() keep the per-cycle path.
@@ -1076,13 +1100,8 @@ Kernel::run(uint64_t n)
                    "run() before elaboration");
         uint64_t w = stride < left ? stride : left;
         cycle_ += w;
-        uint32_t winFired = runParallelWindow(uint32_t(w));
-        fired += winFired;
-        // cycleEnd() is intentionally not invoked for window interior
-        // cycles: syncStride() > 1 only when no installed observer
-        // needs per-cycle hooks (KernelObserver::needsPerCycle()).
-        if (obs_)
-            obs_->cycleEnd(cycle_, winFired);
+        // syncStride() > 1 only when no observer is installed.
+        fired += runParallelWindow(uint32_t(w));
         left -= w;
     }
     return fired;
@@ -1116,24 +1135,14 @@ Kernel::computeRuleRelation(const Rule &a, const Rule &b) const
             bool viaSubcall = pa != ma || pb != mb;
             if (viaSubcall && &pa->owner() == &pb->owner())
                 continue;
-            // The flat table elaborate() materialized (== owner().cm()).
-            const Module &mod = ma->owner();
-            Conflict rel = mod.cmFlat_[size_t(ma->localIndex()) *
-                                           mod.methods_.size() +
-                                       mb->localIndex()];
-            switch (rel) {
-              case Conflict::C:
+            // CM(ma, mb), read back from the method masks.
+            uint64_t aBit = 1ull << ma->localIndex();
+            if (mb->intraConflictMask_ & aBit)
                 anyC = true;
-                break;
-              case Conflict::LT:
-                anyLt = true;
-                break;
-              case Conflict::GT:
+            else if (mb->illegalBeforeMask_ & aBit)
                 anyGt = true;
-                break;
-              case Conflict::CF:
-                break;
-            }
+            else if (ma->illegalBeforeMask_ & (1ull << mb->localIndex()))
+                anyLt = true;
         }
     }
     if (anyC || (anyLt && anyGt))
@@ -1290,30 +1299,6 @@ Kernel::elaborate()
         kfault(FaultKind::ApiMisuse, "kernel",
                "elaborate() inside an open DomainHint scope");
 
-    // Materialize per-module method masks.
-    for (Module *mod : modules_) {
-        uint32_t n = static_cast<uint32_t>(mod->methods_.size());
-        mod->cmFlat_.assign(size_t(n) * n, Conflict::CF);
-        for (uint32_t i = 0; i < n; i++) {
-            for (uint32_t j = 0; j < n; j++) {
-                mod->cmFlat_[size_t(i) * n + j] =
-                    mod->cm(mod->methods_[i], mod->methods_[j]);
-            }
-        }
-        for (uint32_t j = 0; j < n; j++) {
-            Method &m = mod->methods_[j];
-            m.illegalBeforeMask_ = 0;
-            m.intraConflictMask_ = 0;
-            for (uint32_t i = 0; i < n; i++) {
-                Conflict rel = mod->cmFlat_[size_t(i) * n + j];
-                if (rel == Conflict::C || rel == Conflict::GT)
-                    m.illegalBeforeMask_ |= 1ull << i;
-                if (rel == Conflict::C)
-                    m.intraConflictMask_ |= 1ull << i;
-            }
-        }
-    }
-
     // Assign rule ids and compute transitive method closures.
     uint32_t nRules = static_cast<uint32_t>(rules_.size());
     for (uint32_t i = 0; i < nRules; i++)
@@ -1348,15 +1333,12 @@ Kernel::elaborate()
             const_cast<Method *>(m)->usedByRule_[r->id_] = true;
     }
 
-    // Rule-level CM and the "<" precedence graph.
-    ruleCm_.assign(size_t(nRules) * nRules, Conflict::CF);
+    // The rule-level "<" precedence graph.
     std::vector<std::vector<uint32_t>> succ(nRules);
     std::vector<uint32_t> indeg(nRules, 0);
     for (uint32_t i = 0; i < nRules; i++) {
         for (uint32_t j = i + 1; j < nRules; j++) {
             Conflict rel = computeRuleRelation(*rulePtrs_[i], *rulePtrs_[j]);
-            ruleCm_[size_t(i) * nRules + j] = rel;
-            ruleCm_[size_t(j) * nRules + i] = invert(rel);
             if (rel == Conflict::LT) {
                 succ[i].push_back(j);
                 indeg[j]++;
@@ -1424,7 +1406,7 @@ Kernel::ruleRelation(const Rule &a, const Rule &b) const
     if (!elaborated_)
         kfault(FaultKind::ApiMisuse, "kernel",
                "ruleRelation() before elaboration");
-    return ruleCm_[size_t(a.id_) * rules_.size() + b.id_];
+    return computeRuleRelation(a, b);
 }
 
 // ----------------------------------------------------------- hardening hooks

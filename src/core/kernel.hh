@@ -213,7 +213,8 @@ class ChannelPort
  * domain's worker thread, so implementations must only touch state
  * owned by the rule's domain (@p domain is the rule's elaborated
  * domain, stable across schedulers). cycleEnd runs on the driving
- * thread between cycles.
+ * thread after every cycle: an installed observer keeps the parallel
+ * scheduler at one cycle per sync window (see Kernel::syncStride()).
  */
 class KernelObserver
 {
@@ -233,15 +234,6 @@ class KernelObserver
         (void)cycle;
         (void)fired;
     }
-    /**
-     * Return false to let the parallel scheduler run multi-cycle sync
-     * windows. When any installed observer needs cycleEnd() called at
-     * every simulated cycle, the kernel clamps the sync stride to 1.
-     * Inside a multi-cycle window cycleEnd() is NOT invoked for the
-     * interior cycles; ruleFired still fires with exact per-domain
-     * local cycle numbers.
-     */
-    virtual bool needsPerCycle() const { return true; }
 };
 
 /**
@@ -640,9 +632,11 @@ class Method
     uint32_t localIdx_;
     std::vector<const Method *> subcalls_;
 
-    // Computed at elaboration from the module CM:
+    // The module CM, stored only here (written by Module::method()
+    // and Module::setCm()); bit i stands for the method with local
+    // index i:
     /// bits of same-module methods that, once fired earlier this
-    /// cycle, make calling this method illegal (CM entry C or >).
+    /// cycle, make calling this method illegal (CM(i, this) is C or >).
     uint64_t illegalBeforeMask_ = 0;
     /// bits of same-module methods that may not be called by the same
     /// rule as this one (CM entry C).
@@ -656,9 +650,13 @@ class Method
  * interface methods and their conflict matrix, and may register
  * internal rules.
  *
- * The conflict matrix defaults to @p defaultCm for distinct method
- * pairs and to C for a method against itself (a method may be called
- * at most once per cycle unless declared selfCf()).
+ * The conflict matrix defaults to @p defaultCm (C or CF; an LT/GT
+ * default would declare both a<b and b<a and is a DesignError) for
+ * distinct method pairs and to C for a method against itself (a method
+ * may be called at most once per cycle unless declared selfCf()).
+ * Declarations apply in program order: a later setCm() on a pair
+ * overrides an earlier one, and a method declared after a setCm()
+ * gets default entries against every existing method.
  */
 class Module
 {
@@ -675,9 +673,6 @@ class Module
     /** Statistics group for this module. */
     StatGroup &stats() { return stats_; }
 
-    /** Conflict-matrix entry for a pair of this module's methods. */
-    Conflict cm(const Method &a, const Method &b) const;
-
     /** Domain this module was assigned to (valid after elaborate()). */
     uint32_t domain() const { return domain_; }
 
@@ -685,7 +680,10 @@ class Module
     /** Declare a new interface method. */
     Method &method(const std::string &name);
 
-    /** Set CM(a, b) = rel (and CM(b, a) = invert(rel)). */
+    /**
+     * Set CM(a, b) = rel (and CM(b, a) = invert(rel)). A self entry
+     * (a == b) must be C or CF; anything else is a DesignError.
+     */
     void setCm(const Method &a, const Method &b, Conflict rel);
 
     /** Sugar: a happens-before b when both fire in one cycle. */
@@ -704,6 +702,8 @@ class Module
     friend class Kernel;
     friend class Method;
 
+    /** Write CM(methods_[a], methods_[b]) = rel into both masks. */
+    void writeCm(uint32_t a, uint32_t b, Conflict rel);
     /** Epoch-synchronize per-cycle masks. */
     void syncMasks();
     /** Record a tentative (current-rule) call of local method bit. */
@@ -715,8 +715,6 @@ class Module
     StatGroup stats_;
 
     std::deque<Method> methods_;
-    std::map<std::pair<uint32_t, uint32_t>, Conflict> cmOverride_;
-    std::vector<Conflict> cmFlat_; // methods^2, filled at elaboration
 
     // Per-cycle scheduling state (epoch-stamped, no per-cycle reset):
     uint64_t firedMask_ = 0;  ///< methods called by rules fired this cycle
@@ -840,8 +838,8 @@ class Kernel
     Rule &rule(const std::string &name, std::function<void()> body);
 
     /**
-     * Finish construction: materialize conflict matrices, compute
-     * rule-level CM entries and the schedule order, verify there is no
+     * Finish construction: compute the rules' transitive method sets,
+     * the rule-level "<" edges and the schedule order, verify there is no
      * combinational cycle, and partition the design into domains.
      * Must be called exactly once, before the first cycle(). Throws
      * ElaborationError on design errors.
@@ -911,7 +909,6 @@ class Kernel
      * same partitioned execution, no concurrency.
      */
     void setParallelThreads(uint32_t n);
-    uint32_t parallelThreads() const { return threadsWanted_; }
 
     /** Number of domains the design partitioned into (post-elab). */
     uint32_t domainCount() const { return domainCount_; }
@@ -949,12 +946,13 @@ class Kernel
     /**
      * Cycles run(n) may advance between barriers right now: the
      * effective lookahead when the domain pool drives execution and
-     * no installed observer demands per-cycle hooks; 1 otherwise.
+     * no observer is installed (observers see cycleEnd() at every
+     * cycle); 1 otherwise.
      */
     uint32_t
     syncStride() const
     {
-        if (!parallelActive_ || (obs_ && obs_->needsPerCycle()))
+        if (!parallelActive_ || obs_)
             return 1;
         return effectiveLookahead();
     }
@@ -1001,7 +999,7 @@ class Kernel
      */
     bool runAtomically(const std::function<void()> &fn);
 
-    /** Rule-level CM entry computed at elaboration (for tests). */
+    /** Rule-level CM entry, computed from the method masks. */
     Conflict ruleRelation(const Rule &a, const Rule &b) const;
 
     /** Rules in schedule order (valid after elaborate()). */
@@ -1170,7 +1168,6 @@ class Kernel
     std::deque<Rule> rules_;
     std::vector<Rule *> rulePtrs_;
     std::vector<Rule *> schedule_;
-    std::vector<Conflict> ruleCm_; // rules^2, flattened
 
     bool elaborated_ = false;
     uint64_t cycle_ = 0;

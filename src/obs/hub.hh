@@ -75,14 +75,6 @@ class ObsHub final : public cmd::KernelObserver
     void ruleFired(const cmd::Rule &r, uint64_t cycle,
                    uint32_t domain) override;
     void cycleEnd(uint64_t cycle, uint32_t fired) override;
-    /**
-     * The hub itself never needs per-cycle callbacks — ruleFired
-     * carries exact cycle numbers, so the timeline and pipeline
-     * tracers are window-safe. Only an
-     * installed post-cycle hook (CPI sampling, warmup reset) forces
-     * the parallel scheduler back to per-cycle sync.
-     */
-    bool needsPerCycle() const override { return postHook_ != nullptr; }
 
   private:
     cmd::Kernel &k_;

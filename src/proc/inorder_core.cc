@@ -100,23 +100,6 @@ InOrderCore::reset(Addr pc, uint64_t satp, Addr sp)
 }
 
 void
-InOrderCore::restoreArch(const isa::ArchState &as)
-{
-    bool ok = k_.runAtomically([&] {
-        csr_.write(as.csr);
-        epoch_->setFetchPc(as.pc);
-        itlb_->setSatp(as.csr.satp);
-        dtlb_->setSatp(as.csr.satp);
-        l2tlb_->setSatp(as.csr.satp);
-        for (unsigned i = 1; i < 32; i++)
-            regs_.write(i, as.regs[i]);
-        instret_.write(as.instret);
-    });
-    if (!ok)
-        panic("%s: restoreArch failed", name_.c_str());
-}
-
-void
 InOrderCore::doFetch1()
 {
     require(!epoch_->redirectedThisCycle());

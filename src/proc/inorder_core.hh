@@ -35,9 +35,6 @@ class InOrderCore
                 UncachedPort &walkPort, HostDevice &host);
 
     void reset(Addr pc, uint64_t satp, Addr sp);
-    /** Fast-forward -> detailed handoff: materialize a full arch
-     *  state (see OooCore::restoreArch; same pristine-kernel rule). */
-    void restoreArch(const isa::ArchState &as);
     uint64_t instret() const { return instret_.read(); }
     bool halted() const { return host_.exited(hartId_); }
     cmd::StatGroup &stats() { return meta_->stats(); }

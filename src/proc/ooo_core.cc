@@ -479,31 +479,6 @@ OooCore::reset(Addr pc, uint64_t satp, Addr sp)
 }
 
 /*
- * Fast-forward -> detailed handoff: like reset(), but materializing a
- * complete architectural state. The kernel was just restored to its
- * pristine post-start snapshot (empty pipelines, identity rename), so
- * arch register i lives in physical register i.
- */
-void
-OooCore::restoreArch(const isa::ArchState &as)
-{
-    bool ok = k_.runAtomically([&] {
-        rt_->initIdentity();
-        fl_->initRange(32, cfg_.numPhys() - 32);
-        csr_.write(as.csr);
-        epoch_->setFetchPc(as.pc);
-        itlb_->setSatp(as.csr.satp);
-        dtlb_->setSatp(as.csr.satp);
-        l2tlb_->setSatp(as.csr.satp);
-        for (unsigned i = 1; i < 32; i++)
-            prf_->write(i, as.regs[i]);
-        instret_.write(as.instret);
-    });
-    if (!ok)
-        panic("%s: restoreArch failed", name_.c_str());
-}
-
-/*
  * Sampled-mode warm handoff, detailed -> fast-forward: park fetch and
  * raise a commit-point flush. doFlush squashes all in-flight work back
  * to the committed state — the exact machinery a trap uses — while
@@ -551,12 +526,12 @@ OooCore::drained() const
 }
 
 /*
- * Fast-forward -> detailed on a drained core: like restoreArch(), but
- * the kernel state is the *warm* post-drain state, not a pristine
- * snapshot. The drain flush already reset rename to the committed map;
- * re-seeding the identity map and free list from scratch is valid on
- * any empty pipeline. The TLBs keep their contents when satp is
- * unchanged (L2Tlb::setSatp would flush 2048 warm entries).
+ * Fast-forward -> detailed on an empty pipeline: a drained core (the
+ * sampled handoff) or one reset with no cycle run since
+ * (System::handoffToDetailed). Re-seeding the identity map and free
+ * list from scratch is valid on any empty pipeline, so arch register
+ * i lands in physical register i. The TLBs keep their contents when
+ * satp is unchanged (L2Tlb::setSatp would flush 2048 warm entries).
  */
 void
 OooCore::resumeArch(const isa::ArchState &as)

@@ -58,16 +58,8 @@ class OooCore
     /** Initialize architectural state (call after Kernel::elaborate). */
     void reset(Addr pc, uint64_t satp, Addr sp);
 
-    /**
-     * Materialize a full architectural state (all 32 registers, PC,
-     * CSRs, instret) into the core — the fast-forward -> detailed
-     * handoff (proc/sampling.hh). Call between cycles with the kernel
-     * freshly restored to its pristine post-start snapshot, so
-     * pipelines and rename structures are empty.
-     */
-    void restoreArch(const isa::ArchState &as);
-
-    // ---- sampled-mode warm handoff (System::runSampled)
+    // ---- fast-forward handoff (System::runSampled,
+    //      System::handoffToDetailed)
     /**
      * Detailed -> fast-forward: stall fetch and raise a commit-point
      * flush, squashing every in-flight instruction back to the
@@ -80,9 +72,11 @@ class OooCore
      *  translation request in flight (between cycles only). */
     bool drained() const;
     /**
-     * Fast-forward -> detailed on a drained, warm core: re-seed the
-     * architectural state (identity rename, registers, CSRs, pc) and
-     * resume fetch. TLB contents are preserved when satp is unchanged.
+     * Fast-forward -> detailed on an empty pipeline (drained, or reset
+     * with no cycle run since): materialize a full architectural state
+     * (identity rename, all 32 registers, CSRs, instret, pc) and
+     * resume fetch. Caches, TLBs and predictors keep their contents;
+     * the TLBs are flushed only when satp changes. Call between cycles.
      */
     void resumeArch(const isa::ArchState &as);
     /**

@@ -18,19 +18,19 @@
  *    instructions, hand back, repeat. Per-interval IPCs feed the
  *    IntervalEstimator (mean + 95% confidence interval).
  *
- * The fast-forward -> detailed handoff reuses the checkpoint
- * machinery: the detailed side is re-materialized by restoring the
- * pristine post-start Kernel::snapshot() (empty pipelines, empty
- * caches — exactly what CheckpointManager persists to disk) and then
- * writing the functional ArchState into the core under runAtomically
- * (OooCore/InOrderCore::restoreArch). The detailed->functional
- * direction is tracked by a ShadowTracker: a private GoldenModel
- * stepping once per commit on a copy of memory (the cosim discipline
- * of tests/cosim.hh), so the architectural state at interval end is
- * known without draining the pipeline, store buffer, or dirty cache
- * lines. The shadow needs commits in program order, which is why
- * sampled mode rejects the in-order core: it reports memory
- * instructions at completion (InOrderCore::onCommit).
+ * The fast-forward -> detailed handoff writes the functional ArchState
+ * into an empty OOO pipeline under runAtomically (OooCore::resumeArch):
+ * identity rename, registers, CSRs, pc, then fetch resumes. Caches,
+ * TLBs and predictors keep whatever they hold — nothing on the first
+ * handoff after start(), the previous interval's warm state after
+ * that. The detailed->functional direction is tracked by a
+ * ShadowTracker: a private GoldenModel stepping once per commit on a
+ * copy of memory (the cosim discipline of tests/cosim.hh), so the
+ * architectural state at interval end is known without draining the
+ * pipeline, store buffer, or dirty cache lines. The shadow needs
+ * commits in program order, which is why sampled mode rejects the
+ * in-order core: it reports memory instructions at completion
+ * (InOrderCore::onCommit).
  */
 #pragma once
 

@@ -130,7 +130,6 @@ System::start(Addr entry, uint64_t satp, const std::vector<Addr> &sp)
             oooCores_[i]->reset(entry, satp, s);
     }
     funcHarts_.clear();
-    pristineSnap_.clear();
     if (cfg_.execMode != ExecMode::Detailed) {
         // Functional harts, seeded exactly like the core resets above
         // (x2 = stack top, x10 = hart id) and sharing mem_/host_.
@@ -142,9 +141,6 @@ System::start(Addr entry, uint64_t satp, const std::vector<Addr> &sp)
             g->setReg(10, i);
             funcHarts_.push_back(std::move(g));
         }
-        // The handoff baseline: a freshly reset kernel with empty
-        // pipelines and caches, same image CheckpointManager persists.
-        pristineSnap_ = k_.snapshot();
     }
 }
 
@@ -369,18 +365,22 @@ System::runFastForward(uint64_t maxInsts)
 void
 System::handoffToDetailed()
 {
-    if (funcHarts_.empty() || pristineSnap_.empty())
+    if (funcHarts_.empty())
         kfault(FaultKind::ApiMisuse, "system",
                "handoffToDetailed() needs execMode != Detailed (and a "
                "prior start())");
-    k_.restore(pristineSnap_);
-    for (uint32_t i = 0; i < cfg_.cores; i++) {
-        isa::ArchState as = funcHarts_[i]->archState();
-        if (cfg_.inOrder)
-            ioCores_[i]->restoreArch(as);
-        else
-            oooCores_[i]->restoreArch(as);
-    }
+    if (cfg_.inOrder)
+        kfault(FaultKind::ApiMisuse, "system",
+               "handoffToDetailed() needs the OOO core (inOrder=true)");
+    // Once detailed cycles have run, the functional harts still hold
+    // start()'s state while the pipelines, caches and memory have
+    // moved on.
+    if (k_.cycleCount() != 0)
+        kfault(FaultKind::ApiMisuse, "system",
+               "handoffToDetailed() after %llu detailed cycles",
+               (unsigned long long)k_.cycleCount());
+    for (uint32_t i = 0; i < cfg_.cores; i++)
+        oooCores_[i]->resumeArch(funcHarts_[i]->archState());
     if (runner_)
         runner_->watchdog().reset();
 }
@@ -561,8 +561,8 @@ System::runSampled(uint64_t maxInsts)
         // caches, so resync the journaled lines' cached copies —
         // data only, no protocol-state change — then re-seed the
         // architectural state. The first iteration runs this on the
-        // pristine post-start() machine, where it degenerates to
-        // restoreArch (nothing is cached yet).
+        // post-start() machine, where nothing is cached yet — the
+        // same handoff handoffToDetailed() performs.
         isa::ArchState as = g.archState();
         ShadowTracker shadow(mem_, cfg_.cores, 0, as);
         // Functional warming: replay the skip's touches in program

@@ -76,11 +76,13 @@ class System
     bool runFastForward(uint64_t maxInsts = 0);
 
     /**
-     * Warm handoff, functional -> detailed: restore the kernel to its
-     * pristine post-start snapshot (empty pipelines and caches) and
-     * materialize every functional hart's architectural state into
-     * its detailed core. Memory and the host device are already
-     * shared. Detailed execution may then continue with run().
+     * Handoff, functional -> detailed: materialize every functional
+     * hart's architectural state into its OOO core
+     * (OooCore::resumeArch). Memory and the host device are already
+     * shared. Detailed execution may then continue with run(). Valid
+     * only on the OOO core and only before any detailed cycle has run
+     * (the pipelines and caches still hold start()'s empty state);
+     * otherwise ApiMisuse.
      */
     void handoffToDetailed();
 
@@ -191,8 +193,6 @@ class System
     std::vector<std::unique_ptr<InOrderCore>> ioCores_;
     /// one GoldenModel per hart when execMode != Detailed
     std::vector<std::unique_ptr<isa::GoldenModel>> funcHarts_;
-    /// kernel snapshot right after start(): the handoff baseline
-    std::vector<uint8_t> pristineSnap_;
     SampleStats sampleStats_;
     /// per-hart instret at the warmup reset (post-warmup IPC baseline)
     std::vector<uint64_t> warmupInstret_;

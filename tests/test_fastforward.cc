@@ -3,7 +3,7 @@
  * Execution-mode tests (proc/sampling.hh, System::runFastForward /
  * runSampled): the fast functional mode must be architecturally
  * indistinguishable from detailed execution — fast-forwarding N
- * instructions and then handing off to the detailed core must commit
+ * instructions and then handing off to the detailed OOO core must commit
  * the exact same instruction stream a detailed-from-reset run commits
  * after its first N instructions, under every scheduler — and the
  * SMARTS estimator must behave (CI tightens, accounting conserves,
@@ -74,11 +74,10 @@ struct DigestRun {
 /** Detailed from reset, digesting commits after the first @p skip. */
 DigestRun
 detailedReference(const workloads::Workload &w, cmd::SchedulerKind sched,
-                  bool inOrder, uint64_t skip)
+                  uint64_t skip)
 {
     SystemConfig cfg = SystemConfig::riscyooB();
     cfg.scheduler = sched;
-    cfg.inOrder = inOrder;
     System sys(cfg);
     workloads::Image img = w.build(sys, 1);
     sys.elaborate();
@@ -101,11 +100,10 @@ detailedReference(const workloads::Workload &w, cmd::SchedulerKind sched,
  *  DigestRun::commits' complement via instret bookkeeping. */
 DigestRun
 ffThenDetailed(const workloads::Workload &w, cmd::SchedulerKind sched,
-               bool inOrder, uint64_t skip, uint64_t &ffInsts)
+               uint64_t skip, uint64_t &ffInsts)
 {
     SystemConfig cfg = SystemConfig::riscyooB();
     cfg.scheduler = sched;
-    cfg.inOrder = inOrder;
     cfg.execMode = ExecMode::FastForward;
     System sys(cfg);
     workloads::Image img = w.build(sys, 1);
@@ -128,13 +126,13 @@ ffThenDetailed(const workloads::Workload &w, cmd::SchedulerKind sched,
 }
 
 void
-expectDigestEquality(cmd::SchedulerKind sched, bool inOrder)
+expectDigestEquality(cmd::SchedulerKind sched)
 {
     const workloads::Workload &w = spec("mcf");
     uint64_t ffInsts = 0;
-    DigestRun ff = ffThenDetailed(w, sched, inOrder, 5000, ffInsts);
+    DigestRun ff = ffThenDetailed(w, sched, 5000, ffInsts);
     EXPECT_GE(ffInsts, 5000u);
-    DigestRun ref = detailedReference(w, sched, inOrder, ffInsts);
+    DigestRun ref = detailedReference(w, sched, ffInsts);
     EXPECT_EQ(ff.instret, ref.instret);
     EXPECT_EQ(ff.exitCode, ref.exitCode);
     EXPECT_EQ(ff.commits + ffInsts, ref.commits);
@@ -147,26 +145,58 @@ expectDigestEquality(cmd::SchedulerKind sched, bool inOrder)
 // Fast-forwarding N instructions and then running detailed must
 // commit the identical instruction stream (pc, raw, rd, values,
 // traps) a detailed-from-reset run commits after instruction N —
-// under every scheduler, since the handoff snapshot/restore path
-// (pristine kernel + restoreArch) is scheduler-independent state.
+// under every scheduler, since the handoff (OooCore::resumeArch in
+// one atomic action) writes only scheduler-independent state.
 TEST(FastForward, HandoffDigestEqualityEventDriven)
 {
-    expectDigestEquality(cmd::SchedulerKind::EventDriven, false);
+    expectDigestEquality(cmd::SchedulerKind::EventDriven);
 }
 
 TEST(FastForward, HandoffDigestEqualityExhaustive)
 {
-    expectDigestEquality(cmd::SchedulerKind::Exhaustive, false);
+    expectDigestEquality(cmd::SchedulerKind::Exhaustive);
 }
 
 TEST(FastForward, HandoffDigestEqualityParallel)
 {
-    expectDigestEquality(cmd::SchedulerKind::Parallel, false);
+    expectDigestEquality(cmd::SchedulerKind::Parallel);
 }
 
-TEST(FastForward, HandoffDigestEqualityInOrderCore)
+/** Start mcf in FastForward mode, run @p cycles detailed cycles, and
+ *  expect handoffToDetailed() to raise ApiMisuse. */
+void
+expectHandoffMisuse(bool inOrder, uint64_t cycles)
 {
-    expectDigestEquality(cmd::SchedulerKind::EventDriven, true);
+    SystemConfig cfg = SystemConfig::riscyooB();
+    cfg.inOrder = inOrder;
+    cfg.execMode = ExecMode::FastForward;
+    System sys(cfg);
+    workloads::Image img = spec("mcf").build(sys, 1);
+    sys.elaborate();
+    sys.start(img.entry, img.satp, img.stacks);
+    EXPECT_FALSE(sys.runFastForward(5000));
+    if (cycles)
+        sys.run(cycles);
+    try {
+        sys.handoffToDetailed();
+        FAIL() << "expected ApiMisuse";
+    } catch (const cmd::KernelFault &f) {
+        EXPECT_EQ(f.kind(), cmd::FaultKind::ApiMisuse) << f.describe();
+    }
+}
+
+// The handoff re-seeds an OOO pipeline; the in-order core has none,
+// even before any cycle runs.
+TEST(FastForward, HandoffRejectsInOrderCore)
+{
+    expectHandoffMisuse(true, 0);
+}
+
+// Once detailed cycles have run, the functional harts still hold
+// start()'s state and the caches no longer match memory: no handoff.
+TEST(FastForward, HandoffRejectsAfterDetailedCycles)
+{
+    expectHandoffMisuse(false, 100);
 }
 
 // The decoded-instruction cache must absorb nearly every fetch on a

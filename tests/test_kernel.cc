@@ -396,6 +396,101 @@ TEST(Cm, MixedOrderingWithinOnePairIsConflict)
     EXPECT_EQ(k.ruleRelation(r1, r2), Conflict::C);
 }
 
+/** A module whose CM the test declares from outside. */
+class Decl : public Module
+{
+  public:
+    Decl(Kernel &k, Conflict defaultCm) : Module(k, "decl", defaultCm) {}
+    using Module::method;
+    using Module::setCm;
+};
+
+/** A rule that calls (and declares) only @p m. */
+Rule &
+callRule(Kernel &k, const std::string &name, Method &m)
+{
+    Rule &r = k.rule(name, [&m] { m(); });
+    r.uses({&m});
+    return r;
+}
+
+TEST(Cm, LtOrGtDefaultIsDesignError)
+{
+    // An ordered default would declare both a<b and b<a for every pair,
+    // so the schedule would follow registration order.
+    for (Conflict rel : {Conflict::LT, Conflict::GT}) {
+        SCOPED_TRACE(toString(rel));
+        Kernel k;
+        expectFault([&] { Decl d(k, rel); }, FaultKind::DesignError,
+                    "default CM");
+    }
+}
+
+TEST(Cm, OrderedSelfEntryIsDesignError)
+{
+    for (Conflict rel : {Conflict::LT, Conflict::GT}) {
+        SCOPED_TRACE(toString(rel));
+        Kernel k;
+        Decl d(k, Conflict::C);
+        Method &a = d.method("a");
+        expectFault([&] { d.setCm(a, a, rel); }, FaultKind::DesignError,
+                    "self CM entry");
+    }
+}
+
+TEST(Cm, LaterDeclarationWins)
+{
+    {
+        SCOPED_TRACE("a later setCm on the same pair overrides");
+        Kernel k;
+        Decl d(k, Conflict::C);
+        Method &a = d.method("a"), &b = d.method("b");
+        d.setCm(a, b, Conflict::LT);
+        d.setCm(b, a, Conflict::LT); // now b < a
+        Rule &ra = callRule(k, "ra", a);
+        Rule &rb = callRule(k, "rb", b);
+        k.elaborate();
+        EXPECT_EQ(k.ruleRelation(rb, ra), Conflict::LT);
+        EXPECT_EQ(k.ruleRelation(ra, rb), Conflict::GT);
+        EXPECT_EQ(k.scheduleOrder(), (std::vector<Rule *>{&rb, &ra}));
+    }
+    {
+        SCOPED_TRACE("setCm overrides the default");
+        Kernel k;
+        Decl d(k, Conflict::CF);
+        Method &a = d.method("a"), &b = d.method("b"), &c = d.method("c");
+        d.setCm(b, a, Conflict::LT);
+        Rule &ra = callRule(k, "ra", a);
+        Rule &rb = callRule(k, "rb", b);
+        Rule &rc = callRule(k, "rc", c);
+        k.elaborate();
+        EXPECT_EQ(k.ruleRelation(ra, rb), Conflict::GT);
+        EXPECT_EQ(k.ruleRelation(ra, rc), Conflict::CF);
+        EXPECT_EQ(k.ruleRelation(rb, rc), Conflict::CF);
+        EXPECT_EQ(k.scheduleOrder(),
+                  (std::vector<Rule *>{&rb, &rc, &ra}));
+    }
+    {
+        SCOPED_TRACE("a later method gets defaults, the pair stays");
+        Kernel k;
+        Decl d(k, Conflict::C);
+        Method &a = d.method("a"), &b = d.method("b");
+        d.setCm(b, a, Conflict::LT);
+        Method &c = d.method("c");
+        Rule &ra = callRule(k, "ra", a);
+        Rule &rb = callRule(k, "rb", b);
+        Rule &rc = callRule(k, "rc", c);
+        Rule &rc2 = callRule(k, "rc2", c);
+        k.elaborate();
+        EXPECT_EQ(k.ruleRelation(rb, ra), Conflict::LT);
+        EXPECT_EQ(k.ruleRelation(ra, rc), Conflict::C);
+        EXPECT_EQ(k.ruleRelation(rb, rc), Conflict::C);
+        EXPECT_EQ(k.ruleRelation(rc, rc2), Conflict::C);
+        EXPECT_EQ(k.scheduleOrder(),
+                  (std::vector<Rule *>{&rb, &rc, &rc2, &ra}));
+    }
+}
+
 // The declaration checks hold under every scheduler kind: no
 // scheduler may trade enforcement for speed.
 constexpr SchedulerKind kCheckedKinds[] = {SchedulerKind::Exhaustive,

@@ -435,6 +435,19 @@ TEST(Parallel, QuadCoreSystemReplay)
                kStackTop + 0x30000});
     auto snap0 = sys.kernel().snapshot();
 
+    // ruleRelation() recomputes each pair from the method masks, so
+    // antisymmetry does not hold by construction: check every pair.
+    const std::vector<cmd::Rule *> &rules = sys.kernel().rules();
+    for (const cmd::Rule *ra : rules) {
+        for (const cmd::Rule *rb : rules) {
+            if (ra == rb)
+                continue;
+            ASSERT_EQ(sys.kernel().ruleRelation(*ra, *rb),
+                      cmd::invert(sys.kernel().ruleRelation(*rb, *ra)))
+                << ra->name() << " vs " << rb->name();
+        }
+    }
+
     constexpr uint64_t kChunk = 3000;
     constexpr uint64_t kTotal = 24000;
     std::vector<uint64_t> exDigests;
