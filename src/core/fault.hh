@@ -32,7 +32,7 @@ enum class FaultKind : uint8_t {
     CrossDomain, ///< a rule touched another parallel domain's state
     ApiMisuse,   ///< framework API called out of phase (post-elab
                  ///< construction, nested atomics, ...)
-    Watchdog,    ///< forward-progress watchdog or barrier timeout trip
+    Watchdog,    ///< forward-progress watchdog trip (between cycles)
     Checkpoint,  ///< checkpoint serialization/restore failure
 };
 

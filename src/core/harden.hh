@@ -22,7 +22,9 @@
  *    instructions) that also catches livelock, where rules spin
  *    without retiring anything. The fault names the most-starved
  *    domain and embeds Kernel::diagnosticReport() — awake sets, fifo
- *    occupancies, the merged last-N-fired ring.
+ *    occupancies, the merged last-N-fired ring. It polls between
+ *    cycles, so a rule body that never returns is out of its reach
+ *    (the parallel sync barrier has no stall timeout either).
  *
  *  - CheckpointManager persists Kernel::snapshot() plus an arbitrary
  *    payload (memory image, commit-stream digest) to disk with a
@@ -251,7 +253,9 @@ struct HardenedConfig
 /**
  * Drives a kernel with a watchdog and periodic checkpoints. run()
  * behaves like Kernel::runUntil(); any KernelFault (a watchdog trip,
- * a design error, a barrier timeout) propagates out of it unchanged.
+ * a design error) propagates out of it unchanged. The watchdog polls
+ * between sync windows, so a rule body that never returns hangs run()
+ * under every scheduler.
  * The checkpoints are for the caller: after a fault it may load() the
  * last one and run again.
  */

@@ -414,21 +414,28 @@ Kernel::registerModule(Module *m)
 }
 
 void
-Kernel::registerBoundary(Module &a, Module &b, bool *crossFlag,
-                         ChannelPort *chan)
+Kernel::registerChannel(ChannelPort &p, Module &enq, Module &deq,
+                        bool *cross)
 {
     if (elaborated_)
-        kfault(FaultKind::ApiMisuse, a.name() + "/" + b.name(),
-               "boundary registered after elaboration");
-    a.boundarySide_ = true;
-    b.boundarySide_ = true;
-    boundaries_.push_back({&a, &b, crossFlag, chan});
+        kfault(FaultKind::ApiMisuse, p.channelName(),
+               "channel registered after elaboration");
+    enq.boundarySide_ = true;
+    deq.boundarySide_ = true;
+    p.enqEnd_ = &enq;
+    p.deqEnd_ = &deq;
+    p.cross_ = cross;
+    channels_.push_back(&p);
 }
 
 void
-Kernel::registerMirror(StateBase *s)
+Kernel::unregisterChannel(ChannelPort *p)
 {
-    mirrors_.push_back(s);
+    auto drop = [p](std::vector<ChannelPort *> &v) {
+        v.erase(std::remove(v.begin(), v.end(), p), v.end());
+    };
+    drop(channels_);
+    drop(crossChannels_);
 }
 
 Rule &
@@ -781,7 +788,7 @@ Kernel::runDomains()
         // acq_rel: the acquire half pairs with the release store that
         // reset the cursor for this cycle, so even a thread that never
         // observed the startGen_ bump (a straggler from the previous
-        // cycle) sees the new cycle_ and the published mirrors before
+        // cycle) sees the new cycle_ and the published channels before
         // it runs a domain.
         uint32_t d = claimCursor_.fetch_add(1, std::memory_order_acq_rel);
         if (d >= domainCount_)
@@ -801,8 +808,6 @@ Kernel::runDomains()
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now().time_since_epoch())
                 .count());
-        if (domainDone_)
-            domainDone_[d].store(true, std::memory_order_release);
         doneCount_.fetch_add(1, std::memory_order_release);
     }
 }
@@ -813,17 +818,16 @@ Kernel::runDomainCycle(detail::ExecContext &c)
     // Runs this domain through the whole sync window: windowWidth_
     // consecutive simulated cycles with no barrier in between. The
     // domain's kernel-visible time is c.localCycle; cross-domain
-    // reads see the mirrors published at the window start, which the
-    // latency-lagged TimedFifo views make indistinguishable from the
-    // sequential start-of-cycle views (see timed_fifo.hh).
+    // reads see the channel counters published at the window start,
+    // which the latency-lagged TimedFifo views make indistinguishable
+    // from the sequential start-of-cycle views (see timed_fifo.hh).
     detail::CtxScope scope(&c);
     auto t0 = std::chrono::steady_clock::now();
     uint64_t base = cycle_ - windowWidth_;
     uint32_t winFired = 0;
     for (uint32_t k = 1; k <= windowWidth_; k++) {
         c.localCycle = base + k;
-        c.lastFired = runCtxCycle(c);
-        winFired += c.lastFired;
+        winFired += runCtxCycle(c);
     }
     c.windowFired = winFired;
     c.execNs += nsSince(t0);
@@ -861,24 +865,23 @@ uint32_t
 Kernel::runParallelWindow(uint32_t width)
 {
     // One sync epoch: every domain runs @p width consecutive cycles,
-    // then all domains meet at a single barrier where the boundary
-    // mirrors are re-published. cycle_ was already advanced past the
-    // window by the caller; domains derive their per-cycle local
-    // clocks from cycle_ - width + k. width may not exceed the
-    // effective lookahead (min cross-channel latency), which is what
-    // makes the window-start mirror views sufficient for every
-    // cross-domain read inside the window.
+    // then all domains meet at a single barrier. cycle_ was already
+    // advanced past the window by the caller; domains derive their
+    // per-cycle local clocks from cycle_ - width + k. width may not
+    // exceed the effective lookahead (min cross-channel latency),
+    // which is what makes the window-start published views
+    // sufficient for every cross-domain read inside the window.
     ensurePool();
-    // Batched exchange: latch the boundary counters (scalar + epoch
-    // history) every cross-domain consumer may read this window.
-    // Published values stay frozen until the next barrier.
-    for (StateBase *s : mirrors_)
-        s->publishMirror();
+    // Batched exchange: latch the counters (scalar + epoch history)
+    // of every cross-domain channel. Published values stay frozen
+    // until the next barrier. A channel whose two ends share a domain
+    // is sequential code inside that domain: nothing reads its
+    // published view, so it is not exchanged.
+    for (ChannelPort *p : crossChannels_)
+        p->publish();
     parallelCycles_ += width;
     syncEpochs_++;
     windowWidth_ = width;
-    for (uint32_t d = 0; d < domainCount_; d++)
-        domainDone_[d].store(false, std::memory_order_relaxed);
     doneCount_.store(0, std::memory_order_relaxed);
     claimCursor_.store(0, std::memory_order_release);
     {
@@ -886,12 +889,8 @@ Kernel::runParallelWindow(uint32_t width)
         startGen_.fetch_add(1, std::memory_order_release);
     }
     poolCv_.notify_all();
-    if (mainParticipates_)
-        runDomains();
+    runDomains();
     auto t0 = std::chrono::steady_clock::now();
-    // The stuck-worker budget covers the whole window: a domain has
-    // width cycles of work to finish before this barrier.
-    uint64_t timeoutNs = barrierTimeoutNs_ * width;
     uint32_t spins = 0;
     while (doneCount_.load(std::memory_order_acquire) < domainCount_) {
         if (++spins < 1024) {
@@ -899,33 +898,6 @@ Kernel::runParallelWindow(uint32_t width)
             continue;
         }
         std::this_thread::yield();
-        if (timeoutNs && nsSince(t0) > timeoutNs) {
-            // Stuck-worker detection: a domain failed to finish its
-            // slice of the window within the budget. Name the
-            // unfinished domains and fault instead of spinning
-            // forever. The pool is left wedged on the stuck rule: a
-            // caller that unwedges it waits for parallelQuiesced()
-            // before running a sequential scheduler.
-            barrierWaitNs_ += nsSince(t0);
-            std::string stuck;
-            for (uint32_t d = 0; d < domainCount_; d++) {
-                if (!domainDone_[d].load(std::memory_order_acquire)) {
-                    if (!stuck.empty())
-                        stuck += ", ";
-                    stuck += domainName(d);
-                }
-            }
-            FaultContext fc;
-            fc.module = "kernel";
-            fc.cycle = cycle_;
-            throw KernelFault(
-                FaultKind::Watchdog,
-                "parallel sync barrier timeout after " +
-                    std::to_string(timeoutNs) + " ns (window " +
-                    std::to_string(width) +
-                    " cycles); unfinished domains: " + stuck,
-                std::move(fc));
-        }
     }
     barrierWaitNs_ += nsSince(t0);
     // Per-domain sync wait: time between a domain finishing its
@@ -1217,8 +1189,12 @@ Kernel::computeDomains()
         s->domain_ = s->domainOwner_ ? s->domainOwner_->domain_
                                      : domainOfNode(s->hintGroup_);
     }
-    for (const Boundary &b : boundaries_)
-        *b.crossFlag = b.a->domain_ != b.b->domain_;
+    crossChannels_.clear();
+    for (ChannelPort *p : channels_) {
+        *p->cross_ = p->enqEnd_->domain_ != p->deqEnd_->domain_;
+        if (*p->cross_)
+            crossChannels_.push_back(p);
+    }
 
     // One execution context per domain, each holding its slice of the
     // global schedule (relative order within a domain is preserved).
@@ -1233,7 +1209,7 @@ Kernel::computeDomains()
     mainCtx_.sched = schedule_;
 
     // Name each domain after the hint group of its earliest-scheduled
-    // rule (watchdog dumps and barrier-timeout faults name domains).
+    // rule (watchdog dumps and report() name domains).
     domainNames_.assign(domainCount_, "");
     for (Rule *r : schedule_) {
         std::string &nm = domainNames_[r->domain_];
@@ -1255,18 +1231,17 @@ Kernel::computeDomains()
     // degenerate every window to per-cycle sync, so it is a named
     // elaboration-time design error instead.
     fifoMinLookahead_ = ~0u;
-    for (const Boundary &b : boundaries_) {
-        if (!*b.crossFlag || !b.chan)
-            continue;
-        uint32_t lat = b.chan->latency();
+    for (const ChannelPort *p : crossChannels_) {
+        uint32_t lat = p->latency();
         if (lat == 0) {
             FaultContext fc;
-            fc.module = b.chan->channelName();
+            fc.module = p->channelName();
             throw KernelFault(
                 FaultKind::DesignError,
-                "cross-domain channel '" + b.chan->channelName() +
-                    "' has latency 0 (cut " + domainName(b.a->domain_) +
-                    " -> " + domainName(b.b->domain_) +
+                "cross-domain channel '" + p->channelName() +
+                    "' has latency 0 (cut " +
+                    domainName(p->enqEnd_->domain_) + " -> " +
+                    domainName(p->deqEnd_->domain_) +
                     "): a domain boundary needs latency >= 1 to "
                     "provide PDES lookahead",
                 std::move(fc));
@@ -1278,9 +1253,6 @@ Kernel::computeDomains()
         fifoMinLookahead_ = 1; // no cross cut: windows are trivial
 
     domainFaults_.assign(domainCount_, nullptr);
-    domainDone_ = std::make_unique<std::atomic<bool>[]>(domainCount_);
-    for (uint32_t d = 0; d < domainCount_; d++)
-        domainDone_[d].store(false, std::memory_order_relaxed);
 }
 
 const std::string &
@@ -1422,22 +1394,6 @@ Kernel::pokeState(StateBase *s)
     if (!s->waiters_.empty())
         wakeWaiters(s);
     s->lastCommitCycle_ = ~0ull;
-}
-
-void
-Kernel::registerChannel(ChannelPort *p)
-{
-    channels_.push_back(p);
-}
-
-void
-Kernel::unregisterChannel(ChannelPort *p)
-{
-    auto it = std::find(channels_.begin(), channels_.end(), p);
-    if (it != channels_.end()) {
-        *it = channels_.back();
-        channels_.pop_back();
-    }
 }
 
 std::string
@@ -1600,7 +1556,9 @@ Kernel::report() const
         line.domain = r->domain_;
         rep.rules.push_back(std::move(line));
     }
-    if (sched_ == SchedulerKind::Parallel) {
+    // Only a running domain pool has parallel extras: a one-domain
+    // Parallel kernel executes on the main context like EventDriven.
+    if (parallelActive_) {
         rep.threads = effectiveThreads();
         rep.parallelCycles = parallelCycles_;
         rep.barrierWaitNs = barrierWaitNs_;

@@ -176,11 +176,15 @@ require(bool cond)
 }
 
 /**
- * Fault-injection and diagnostics hook of a latency-bearing channel
- * (TimedFifo registers one per fifo). The watchdog dumps occupancies
- * through it; the fault injector drops or delays in-flight messages.
- * The fault methods must be called between cycles only — they mutate
- * channel state through an atomic action on the owning kernel.
+ * A latency-bearing channel as the kernel sees it (TimedFifo is the
+ * one implementation; each fifo registers itself once, with
+ * Kernel::registerChannel()). Its two endpoint modules are the
+ * partitioner's cut; when they land in different domains the channel
+ * is published at every parallel sync barrier and its latency bounds
+ * the sync window. The watchdog dumps occupancies through it; the
+ * fault injector drops or delays in-flight messages. The fault
+ * methods must be called between cycles only — they mutate channel
+ * state through an atomic action on the owning kernel.
  */
 class ChannelPort
 {
@@ -200,6 +204,18 @@ class ChannelPort
      * is the minimum latency over all cross-domain channels.
      */
     virtual uint32_t latency() const = 0;
+    /**
+     * Latch the state the other side's domain reads (TimedFifo: both
+     * occupancy counters). Called on the driving thread at every
+     * parallel sync barrier, for cross-domain channels only.
+     */
+    virtual void publish() = 0;
+
+  private:
+    friend class Kernel;
+    Module *enqEnd_ = nullptr; ///< producer endpoint (the cut's one side)
+    Module *deqEnd_ = nullptr; ///< consumer endpoint
+    bool *cross_ = nullptr;    ///< set at elaboration: ends split?
 };
 
 /**
@@ -279,7 +295,8 @@ struct KernelReport
     /// Retired: nothing sets it, so it always reads 0. It stays only
     /// because perfbench/perf_e2e.cc reads it.
     uint64_t fastGuardFails = 0;
-    // Parallel-scheduler extras (threads == 0 otherwise):
+    // Parallel-scheduler extras, filled only while the domain pool
+    // runs (parallelActive()); threads == 0 otherwise:
     uint32_t threads = 0;
     uint64_t parallelCycles = 0;
     uint64_t barrierWaitNs = 0;
@@ -375,8 +392,7 @@ struct ExecContext
     uint64_t wakes = 0;
     uint64_t guardThrows = 0;
     uint64_t fired = 0;
-    uint64_t execNs = 0;    ///< parallel mode: time inside domain cycles
-    uint32_t lastFired = 0; ///< rules fired in the most recent cycle
+    uint64_t execNs = 0; ///< parallel mode: time inside domain cycles
     /// rules fired in the current sync window (summed at the barrier)
     uint32_t windowFired = 0;
 
@@ -529,14 +545,6 @@ class StateBase
     virtual void restore(const uint8_t *&in) = 0;
     /** Bytes save() appends; fixed for the element's lifetime. */
     virtual size_t savedSize() const = 0;
-
-    /**
-     * Latch the committed value for cross-domain readers. Called on
-     * the main thread at every parallel cycle barrier for elements
-     * registered with Kernel::registerMirror() (TimedFifo occupancy
-     * counters); a no-op for everything else.
-     */
-    virtual void publishMirror() {}
 
     /**
      * Attribute this element to @p m's domain, overriding the
@@ -931,7 +939,6 @@ class Kernel
      * fifo-min would let a domain observe cycles it must not see.
      */
     void setLookahead(uint32_t n) { lookahead_ = n; }
-    uint32_t lookahead() const { return lookahead_; }
     /** Min cross-domain channel latency (1 when there is no cut). */
     uint32_t fifoMinLookahead() const { return fifoMinLookahead_; }
     /** The sync window actually used: min(cap, fifo-min), >= 1. */
@@ -956,40 +963,6 @@ class Kernel
             return 1;
         return effectiveLookahead();
     }
-
-    /**
-     * True when every domain of the last started parallel cycle has
-     * finished its slice, i.e. the pool is parked between cycles.
-     * After a barrier-timeout KernelFault, a caller that has unwedged
-     * the stuck rule must poll this before running a sequential
-     * scheduler: a straggler worker finishing its commit bookkeeping
-     * must not overlap sequential execution.
-     */
-    bool parallelQuiesced() const
-    {
-        return parallelCycles_ == 0 ||
-               doneCount_.load(std::memory_order_acquire) >= domainCount_;
-    }
-
-    /**
-     * Wall-clock bound on one parallel cycle barrier; 0 disables. When
-     * a worker fails to finish its domains within the budget the main
-     * thread raises a KernelFault(Watchdog) naming the unfinished
-     * domains instead of spinning forever — the stuck-worker detector.
-     * After such a fault the pool stays wedged on the stuck rule until
-     * it returns; a caller that unwedges it waits for
-     * parallelQuiesced(), then continues on a sequential scheduler.
-     */
-    void setBarrierTimeoutNs(uint64_t ns) { barrierTimeoutNs_ = ns; }
-    uint64_t barrierTimeoutNs() const { return barrierTimeoutNs_; }
-
-    /**
-     * When false, the driving thread only publishes mirrors and waits
-     * at the barrier during parallel cycles; workers run every domain.
-     * Keeps the driver responsive for timeout detection (and makes
-     * stuck-worker tests deterministic).
-     */
-    void setParallelMainParticipates(bool p) { mainParticipates_ = p; }
 
     /**
      * Execute @p fn as an anonymous atomic action within the current
@@ -1027,9 +1000,8 @@ class Kernel
      */
     void pokeState(StateBase *s);
 
-    /** Latency-bearing channels (TimedFifo registers one per fifo). */
-    void registerChannel(ChannelPort *p);
-    void unregisterChannel(ChannelPort *p);
+    /** Registered channels, in construction order (fault plans index
+     *  into this list). */
     const std::vector<ChannelPort *> &channelPorts() const
     {
         return channels_;
@@ -1070,15 +1042,15 @@ class Kernel
     void unregisterState(StateBase *s);
     void registerModule(Module *m);
     /**
-     * Declare @p a / @p b as the producer/consumer endpoints of a
-     * latency-bearing channel: the partitioner treats them as separate
-     * nodes (the cut), and after partitioning stores into @p crossFlag
-     * whether the two ends landed in different domains.
+     * Declare channel @p p, with producer endpoint @p enq and consumer
+     * endpoint @p deq: the partitioner treats the two endpoints as
+     * separate nodes (the cut), and after partitioning stores into
+     * @p cross whether they landed in different domains. Before
+     * elaboration only.
      */
-    void registerBoundary(Module &a, Module &b, bool *crossFlag,
-                          ChannelPort *chan = nullptr);
-    /** Publish @p s to cross-domain readers at every cycle barrier. */
-    void registerMirror(StateBase *s);
+    void registerChannel(ChannelPort &p, Module &enq, Module &deq,
+                         bool *cross);
+    void unregisterChannel(ChannelPort *p);
     void onMethodCall(const Method &m);
     void noteStateTouched(StateBase *s); // inline, below StateBase
     bool
@@ -1189,30 +1161,20 @@ class Kernel
     std::vector<std::string> hintNames_{""}; ///< group names; [0] = root
     std::map<std::string, uint32_t> hintIds_;
     std::vector<uint32_t> hintStack_{0};
-    struct Boundary
-    {
-        Module *a;
-        Module *b;
-        bool *crossFlag;
-        ChannelPort *chan; ///< latency source (null for non-channels)
-    };
-    std::vector<Boundary> boundaries_;
-    std::vector<StateBase *> mirrors_;
+    /// every registered channel, in construction order
+    std::vector<ChannelPort *> channels_;
+    /// the channels whose endpoints landed in different domains (set
+    /// at elaboration): the only ones a sync barrier publishes
+    std::vector<ChannelPort *> crossChannels_;
     uint32_t domainCount_ = 1;
     bool parallelActive_ = false;
     /// resolved domain -> display name (hint groups; filled at elab)
     std::vector<std::string> domainNames_;
 
     // Hardening:
-    std::vector<ChannelPort *> channels_;
     /// faults raised inside worker threads, one slot per domain; the
     /// main thread rethrows the lowest-domain one after the barrier
     std::vector<std::exception_ptr> domainFaults_;
-    /// per-domain completion flags for the current parallel cycle
-    /// (barrier-timeout dumps name the unfinished domains)
-    std::unique_ptr<std::atomic<bool>[]> domainDone_;
-    uint64_t barrierTimeoutNs_ = 0; ///< 0 = no stuck-worker detection
-    bool mainParticipates_ = true;
 
     // Worker pool (parallel scheduler):
     uint32_t threadsWanted_ = 0; ///< 0 = min(hw concurrency, domains)

@@ -123,10 +123,12 @@ class Reg final : public StateBase
  * multi-cycle lookahead PDES. A consumer domain running ahead inside
  * a lookahead window is only allowed to see the producer's counter as
  * of `now - latency` — an epoch that is always covered by the batch
- * published at the last sync barrier (the window width never exceeds
- * the channel latency). The sequential schedulers use the *same*
- * lagged views on the live history, which is why parallel-with-
- * lookahead stays bit-identical to them.
+ * publish() latched at the last sync barrier (the window width never
+ * exceeds the channel latency). Only cross-domain fifos publish; the
+ * published views of a fifo whose ends share a domain are never read.
+ * The sequential schedulers use the *same* lagged views on the live
+ * history, which is why parallel-with-lookahead stays bit-identical
+ * to them.
  *
  * The ring records at most one entry per cycle (the counters are
  * written by one conflicting method, so they commit at most once per
@@ -187,10 +189,10 @@ class EpochCounter final : public StateBase
 
     /**
      * Value as of the end of cycle @p c, from the epoch batch latched
-     * at the last sync barrier (Kernel::registerMirror). Complete for
-     * every epoch up to the publish cycle; written solely by the
-     * driving thread at the barrier, so cross-domain reads are
-     * race-free. Bypasses noteRead() — callers flag themselves with
+     * by publish() at the last sync barrier. Complete for every epoch
+     * up to the publish cycle; written solely by the driving thread
+     * at the barrier, so cross-domain reads are race-free. Bypasses
+     * noteRead() — callers flag themselves with
      * detail::noteCrossRead().
      */
     uint64_t
@@ -202,8 +204,14 @@ class EpochCounter final : public StateBase
     /** Scalar value as latched at the last sync barrier. */
     uint64_t readPublished() const { return pubCur_; }
 
+    /**
+     * Latch the committed value and its whole history ring for
+     * cross-domain readers. Called on the driving thread at every
+     * parallel sync barrier, by the owning TimedFifo's publish() and
+     * only while its two ends sit in different domains.
+     */
     void
-    publishMirror() override
+    publish()
     {
         pubCur_ = cur_;
         pubFloor_ = floor_;

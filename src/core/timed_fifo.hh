@@ -15,7 +15,12 @@
  * counter; the deq side owns the head pointer and a monotonic dequeue
  * counter — so each side's rules commit only domain-local state (the
  * old shared read-modify-write `count` register would have needed a
- * cross-domain merge). Occupancy is the counter difference.
+ * cross-domain merge). Occupancy is the counter difference. The fifo
+ * registers once with the kernel (Kernel::registerChannel), naming
+ * both endpoints. When elaboration puts them in different domains the
+ * kernel latches the two counters at every sync barrier (publish());
+ * when they share a domain the fifo is sequential code inside it and
+ * nothing is exchanged.
  *
  * Cross-side counter views under multi-cycle lookahead PDES (see
  * DESIGN.md "Multi-cycle lookahead PDES"): domains synchronize only
@@ -94,12 +99,7 @@ class TimedFifo : public ChannelPort
           enqTotal_(kernel, name + ".enqTotal", delay < 1 ? 1 : delay, 0),
           deqTotal_(kernel, name + ".deqTotal", delay < 1 ? 1 : delay, 0)
     {
-        kernel.registerBoundary(enqSide_, deqSide_, &cross_, this);
-        kernel.registerChannel(this);
-        // The cross-read counters are published at every parallel
-        // cycle barrier; everything else is strictly side-local.
-        kernel.registerMirror(&enqTotal_);
-        kernel.registerMirror(&deqTotal_);
+        kernel.registerChannel(*this, enqSide_, deqSide_, &cross_);
         data_.setDomainOwner(&enqSide_);
         ready_.setDomainOwner(&enqSide_);
         tail_.setDomainOwner(&enqSide_);
@@ -110,15 +110,24 @@ class TimedFifo : public ChannelPort
 
     ~TimedFifo() override { kernel_.unregisterChannel(this); }
 
-    // ---- ChannelPort (fault injection + watchdog diagnostics).
-    // The fault actions run as between-cycle atomic actions on the
-    // main context, so they obey rule atomicity and are exempt from
-    // the cross-domain access checks.
+    // ---- ChannelPort (PDES exchange, fault injection, watchdog
+    // diagnostics). The fault actions run as between-cycle atomic
+    // actions on the main context, so they obey rule atomicity and
+    // are exempt from the cross-domain access checks.
     const std::string &channelName() const override { return name_; }
     uint32_t occupancy() const override { return size(); }
     uint32_t channelCapacity() const override { return cap_; }
     /** Visibility delay in cycles — the PDES lookahead this cut buys. */
     uint32_t latency() const override { return delay_; }
+
+    /** Sync-barrier exchange: latch the two counters the other side
+     *  reads. Everything else is strictly side-local. */
+    void
+    publish() override
+    {
+        enqTotal_.publish();
+        deqTotal_.publish();
+    }
 
     /** Message-loss fault: silently discard the head element. */
     bool

@@ -743,6 +743,27 @@ TEST(Kernel, ProgressReportMentionsRules)
     EXPECT_NE(rep.find("tick"), std::string::npos);
     EXPECT_NE(rep.find("never"), std::string::npos);
     EXPECT_NE(rep.find("guard-false"), std::string::npos);
+
+    // A one-domain Parallel kernel runs on the main context, like
+    // EventDriven: no pool ran, so the report carries no parallel
+    // extras (a "domain 0" line would claim 0 fires).
+    Kernel p;
+    Reg<int> y(p, "y", 0);
+    p.rule("solo", [&] { y.write(y.read() + 1); });
+    p.setScheduler(SchedulerKind::Parallel);
+    p.elaborate();
+    p.run(5);
+    ASSERT_FALSE(p.parallelActive());
+    KernelReport pr = p.report();
+    EXPECT_EQ(pr.threads, 0u);
+    EXPECT_EQ(pr.parallelCycles, 0u);
+    EXPECT_EQ(pr.syncEpochs, 0u);
+    EXPECT_TRUE(pr.domainLines.empty());
+    std::string ptext = pr.text();
+    EXPECT_NE(ptext.find("solo: last=fired fired=5"), std::string::npos)
+        << ptext;
+    EXPECT_EQ(ptext.find("parallel:"), std::string::npos) << ptext;
+    EXPECT_EQ(ptext.find("domain 0:"), std::string::npos) << ptext;
 }
 
 } // namespace
