@@ -16,9 +16,10 @@
  *    where two ends of a queue must not be coupled into any ordering
  *    (e.g. between independently scheduled subsystems).
  *
- * Guard probes (canEnq/canDeq/size) are plain combinational reads for
- * use in Rule::when() fast guards and testbenches; rule bodies rely on
- * the implicit guards of enq/deq/first via cmd::require().
+ * Guard probes (canEnq/canDeq/size/peekFirst) are plain combinational
+ * reads for use in Rule::when() fast guards and testbenches; rule
+ * bodies rely on the implicit guards of enq/deq/first via
+ * cmd::require().
  */
 #pragma once
 
@@ -90,6 +91,19 @@ class Fifo : public Module
     bool notFull() const { return canEnq(); }
     uint32_t size() const { return count_.read(); }
 
+    /**
+     * The element first() would return (the same readStable view on a
+     * Cf fifo), or nothing while first() would fail its guard. Unlike
+     * first() this is no method call, so a when() guard may use it.
+     */
+    std::optional<T>
+    peekFirst() const
+    {
+        if (!canDeq())
+            return std::nullopt;
+        return headView();
+    }
+
     // ---- interface methods
     /** Append an element; guarded by not-full. */
     void
@@ -124,9 +138,7 @@ class Fifo : public Module
     {
         firstM();
         require(guardCount() > 0);
-        uint32_t h = kind_ == FifoKind::Cf ? head_.readStable()
-                                           : head_.read();
-        return kind_ == FifoKind::Cf ? data_.readStable(h) : data_.read(h);
+        return headView();
     }
 
     /** Discard all contents (wrong-path flush). */
@@ -143,6 +155,15 @@ class Fifo : public Module
 
   private:
     uint32_t next(uint32_t i) const { return i + 1 == cap_ ? 0 : i + 1; }
+
+    /** The head slot as first() sees it (no method call, no guard). */
+    const T &
+    headView() const
+    {
+        uint32_t h = kind_ == FifoKind::Cf ? head_.readStable()
+                                           : head_.read();
+        return kind_ == FifoKind::Cf ? data_.readStable(h) : data_.read(h);
+    }
 
     uint32_t
     guardCount() const

@@ -540,6 +540,7 @@ Kernel::noteStateRead(StateBase *s, detail::ExecContext &c)
 void
 Kernel::commitRuleEffects(detail::ExecContext &c)
 {
+    c.stats.apply();
     uint64_t now = currentCycle();
     for (StateBase *s : c.touched) {
         s->commitStaged();
@@ -560,6 +561,7 @@ Kernel::commitRuleEffects(detail::ExecContext &c)
 void
 Kernel::abortRuleEffects(detail::ExecContext &c)
 {
+    c.stats.drop();
     for (StateBase *s : c.touched)
         s->abortStaged();
     c.touched.clear();
@@ -571,16 +573,27 @@ Kernel::abortRuleEffects(detail::ExecContext &c)
 }
 
 Rule::Outcome
-Kernel::runTransaction(detail::ExecContext &c, const Rule *r,
+Kernel::runTransaction(detail::ExecContext &c, Rule *r,
                        const std::function<void()> &body)
 {
     c.inRule = true;
+    c.retryRequested = false;
     c.currentRule = r;
     Rule::Outcome out = Rule::Outcome::Fired;
+    detail::activeStats = &c.stats;
     try {
         body();
+        if (c.retryRequested) {
+            // cmd::retry(): the same rollback as a GuardFail, no throw.
+            c.retries++;
+            if (r)
+                r->retries_++;
+            out = Rule::Outcome::GuardFalse;
+        }
     } catch (const GuardFail &) {
         c.guardThrows++;
+        if (r)
+            r->guardThrows_++;
         out = Rule::Outcome::GuardFalse;
     } catch (const CmBlock &) {
         out = Rule::Outcome::CmBlocked;
@@ -588,11 +601,13 @@ Kernel::runTransaction(detail::ExecContext &c, const Rule *r,
         // A KernelFault (or foreign exception) escaping the body: roll
         // the transaction back so the design is left at its last
         // committed state, then let the driver classify the fault.
+        detail::activeStats = nullptr;
         c.inRule = false;
         c.currentRule = nullptr;
         abortRuleEffects(c);
         throw;
     }
+    detail::activeStats = nullptr;
     c.inRule = false;
     c.currentRule = nullptr;
     if (out == Rule::Outcome::Fired)
@@ -1545,6 +1560,7 @@ Kernel::report() const
     rep.sleeps = sumCtx(&detail::ExecContext::sleeps);
     rep.wakes = sumCtx(&detail::ExecContext::wakes);
     rep.guardThrows = sumCtx(&detail::ExecContext::guardThrows);
+    rep.retries = sumCtx(&detail::ExecContext::retries);
     rep.rules.reserve(schedule_.size());
     for (const Rule *r : schedule_) {
         KernelReport::RuleLine line;
@@ -1553,6 +1569,8 @@ Kernel::report() const
         line.fired = r->firedCount();
         line.guardAborts = r->guardAbortCount();
         line.cmAborts = r->cmAbortCount();
+        line.guardThrows = r->guardThrows_;
+        line.retries = r->retries_;
         line.domain = r->domain_;
         rep.rules.push_back(std::move(line));
     }
@@ -1589,12 +1607,13 @@ KernelReport::text() const
     for (const RuleLine &r : rules) {
         os << r.name << ": last=" << r.outcome << " fired=" << r.fired
            << " guardAborts=" << r.guardAborts << " cmAborts=" << r.cmAborts
+           << " guardThrows=" << r.guardThrows << " retries=" << r.retries
            << '\n';
     }
     os << "scheduler: kind=" << scheduler << " domains=" << domains
        << " attempts=" << attempts << " sleepSkips=" << sleepSkips
        << " sleeps=" << sleeps << " wakes=" << wakes
-       << " guardThrows=" << guardThrows << '\n';
+       << " guardThrows=" << guardThrows << " retries=" << retries << '\n';
     if (threads) {
         os << "parallel: threads=" << threads << " cycles=" << parallelCycles
            << " barrierWaitNs=" << barrierWaitNs

@@ -117,8 +117,9 @@ const char *toString(Conflict c);
  *    runAtomically). Attempts whose read set cannot be captured
  *    exactly — read-set overflow, a guard that reads cycleCount(), a
  *    CM-blocked rule, a when() guard that passed but whose body then
- *    failed an implicit guard — conservatively stay awake, so the
- *    architectural state evolution is bit-identical to Exhaustive.
+ *    failed an implicit guard or retried — conservatively stay awake,
+ *    so the architectural state evolution is bit-identical to
+ *    Exhaustive.
  *  - Parallel: the event-driven scheduler, run concurrently across the
  *    domains computed at elaboration on a persistent thread pool with
  *    a per-cycle barrier. Falls back to the sequential event-driven
@@ -167,7 +168,11 @@ class ElaborationError : public std::runtime_error
     }
 };
 
-/** Guard helper: abort the current rule unless @p cond holds. */
+/**
+ * Guard helper: abort the current rule unless @p cond holds. The
+ * abort throws GuardFail, which costs an unwind; a rule that waits
+ * often should say so in its when() guard or through retry().
+ */
 inline void
 require(bool cond)
 {
@@ -266,6 +271,10 @@ struct KernelReport
         uint64_t fired = 0;
         uint64_t guardAborts = 0;
         uint64_t cmAborts = 0;
+        /// guard aborts that threw GuardFail (require() in the body)
+        uint64_t guardThrows = 0;
+        /// guard aborts through cmd::retry() (no throw)
+        uint64_t retries = 0;
         uint32_t domain = 0;
     };
     struct DomainLine
@@ -291,7 +300,10 @@ struct KernelReport
     uint64_t sleepSkips = 0;
     uint64_t sleeps = 0;
     uint64_t wakes = 0;
+    /// bodies (rules and atomic actions) that aborted by a throw
     uint64_t guardThrows = 0;
+    /// bodies that aborted through cmd::retry()
+    uint64_t retries = 0;
     /// Retired: nothing sets it, so it always reads 0. It stays only
     /// because perfbench/perf_e2e.cc reads it.
     uint64_t fastGuardFails = 0;
@@ -368,9 +380,13 @@ struct ExecContext
 
     // Per-rule transaction state:
     bool inRule = false;
+    /// the body called cmd::retry(): abort it once it returns
+    bool retryRequested = false;
     const Rule *currentRule = nullptr;
     std::vector<StateBase *> touched;
     std::vector<Module *> touchedModules;
+    /// stat updates of the body in flight (applied on commit)
+    StatStage stats;
 
     // Read-set capture / cross-domain enforcement for the attempt:
     ReadMode readMode = ReadMode::Off;
@@ -391,6 +407,7 @@ struct ExecContext
     uint64_t sleeps = 0;
     uint64_t wakes = 0;
     uint64_t guardThrows = 0;
+    uint64_t retries = 0;
     uint64_t fired = 0;
     uint64_t execNs = 0; ///< parallel mode: time inside domain cycles
     /// rules fired in the current sync window (summed at the barrier)
@@ -492,6 +509,27 @@ cpuRelax()
 #endif
 }
 } // namespace detail
+
+/**
+ * Abort the current rule (or atomic action) without a throw: the body
+ * returns normally, and the kernel then rolls it back exactly as it
+ * rolls back a GuardFail (outcome GuardFalse). For a not-ready
+ * condition that only the body can compute, such as "room in the
+ * queue, but not for the group just decoded". A retry may only follow
+ * checks with no effect outside the transaction: no host device call
+ * and no observer hook (staged state and stats are rolled back).
+ * Outside a rule or atomic action it raises KernelFault{ApiMisuse}.
+ * Typical use: if (!q.canEnq(n)) { cmd::retry(); return; }
+ */
+inline void
+retry()
+{
+    detail::ExecContext *c = detail::activeCtx;
+    if (!c || !c->inRule)
+        kfault(FaultKind::ApiMisuse, "kernel",
+               "retry() outside a rule or atomic action");
+    c->retryRequested = true;
+}
 
 /**
  * RAII domain-partitioning hint: state elements, modules, and rules
@@ -756,9 +794,11 @@ class Rule
     /**
      * Cheap explicit guard evaluated before attempting the body: the
      * exception-free exit. A false when() aborts the rule without
-     * dispatching the body; a guard inside the body (require()) aborts
-     * it by throwing GuardFail. Put the common not-ready conditions
-     * here so the throwing path stays off the fast path.
+     * dispatching the body; a guard inside the body aborts it by
+     * retry() (no throw) or require() (throws GuardFail). Put every
+     * not-ready condition the guard can state exactly here: it runs
+     * outside the rule, so it may read state and probes but call no
+     * method. Under EventDriven a false guard sleeps on what it read.
      */
     Rule &when(std::function<bool()> guard);
 
@@ -808,6 +848,8 @@ class Rule
     bool enabled_ = true;
     uint32_t id_ = 0;
     Stat fired_, guardAborts_, cmAborts_;
+    uint64_t guardThrows_ = 0; ///< guard aborts by a GuardFail throw
+    uint64_t retries_ = 0;     ///< guard aborts by cmd::retry()
     Outcome last_ = Outcome::NotTried;
 
     // Event-driven scheduler bookkeeping:
@@ -1075,11 +1117,12 @@ class Kernel
     /**
      * Run @p body as one atomic transaction on @p c (@p r is the rule
      * it belongs to, null for an atomic action): commit its effects
-     * if it completes, roll them back if it fails a guard or is
-     * CM-blocked. Any other exception is rethrown after the rollback.
+     * (state and staged stats) if it completes, roll them back if it
+     * fails a guard (a throw or a retry()) or is CM-blocked. Any other
+     * exception is rethrown after the rollback.
      * @return Fired, GuardFalse or CmBlocked.
      */
-    Rule::Outcome runTransaction(detail::ExecContext &c, const Rule *r,
+    Rule::Outcome runTransaction(detail::ExecContext &c, Rule *r,
                                  const std::function<void()> &body);
     void commitRuleEffects(detail::ExecContext &c);
     void abortRuleEffects(detail::ExecContext &c);

@@ -17,6 +17,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 #include <vector>
@@ -205,10 +206,13 @@ class EpochCounter final : public StateBase
     uint64_t readPublished() const { return pubCur_; }
 
     /**
-     * Latch the committed value and its whole history ring for
-     * cross-domain readers. Called on the driving thread at every
-     * parallel sync barrier, by the owning TimedFifo's publish() and
-     * only while its two ends sit in different domains.
+     * Latch the committed value and its history ring for cross-domain
+     * readers. Called on the driving thread at every parallel sync
+     * barrier, by the owning TimedFifo's publish() and only while its
+     * two ends sit in different domains. Commits write only the newest
+     * slot (an append, or a same-cycle update in place), so copying
+     * the slots written since the last publish makes the published
+     * ring equal the live one.
      */
     void
     publish()
@@ -217,7 +221,12 @@ class EpochCounter final : public StateBase
         pubFloor_ = floor_;
         pubPos_ = pos_;
         pubCount_ = count_;
-        pubHist_ = hist_;
+        for (uint64_t i = 0; i < unpublished_; i++) {
+            size_t idx = (pos_ + count_ + hist_.size() - 1 - i) %
+                         hist_.size();
+            pubHist_[idx] = hist_[idx];
+        }
+        unpublished_ = 0;
     }
 
     /** Stage a write; commits only if the enclosing rule fires. */
@@ -238,6 +247,7 @@ class EpochCounter final : public StateBase
         uint64_t now = kernelCycle();
         if (count_ && hist_[newestIdx()].cycle == now) {
             hist_[newestIdx()].value = staged_;
+            unpublished_ = std::max<uint64_t>(unpublished_, 1);
         } else {
             if (count_ == hist_.size()) {
                 // Evict the oldest record into the floor. Readers
@@ -248,6 +258,7 @@ class EpochCounter final : public StateBase
             }
             hist_[(pos_ + count_) % hist_.size()] = {now, staged_};
             count_++;
+            unpublished_ = std::min<uint64_t>(unpublished_ + 1, hist_.size());
         }
         cur_ = staged_;
         stagedValid_ = false;
@@ -290,6 +301,7 @@ class EpochCounter final : public StateBase
             e.value = get64();
         }
         stagedValid_ = false;
+        unpublished_ = hist_.size(); // every slot may have changed
     }
 
     size_t savedSize() const override { return 8 * (4 + 2 * hist_.size()); }
@@ -328,6 +340,8 @@ class EpochCounter final : public StateBase
     uint64_t pubCount_ = 0;
     std::vector<Entry> hist_;
     std::vector<Entry> pubHist_; ///< barrier-latched batch copy
+    /// newest hist_ slots written since the last publish()
+    uint64_t unpublished_ = 0;
 };
 
 /**

@@ -18,7 +18,26 @@ Histogram::Histogram(uint64_t lo, uint64_t hi, uint32_t nbuckets)
 }
 
 void
+detail::StatStage::apply()
+{
+    for (const auto &[stat, n] : incs)
+        stat->value_ += n;
+    for (const Sample &s : samples)
+        s.hist->record(s.value, s.n);
+    drop();
+}
+
+void
 Histogram::sample(uint64_t v, uint64_t n)
+{
+    if (detail::StatStage *st = detail::activeStats)
+        st->samples.push_back({this, v, n});
+    else
+        record(v, n);
+}
+
+void
+Histogram::record(uint64_t v, uint64_t n)
 {
     uint64_t idx;
     if (v < lo_)

@@ -4,10 +4,20 @@
  *
  * Modules create named counters, histograms and derived (formula)
  * statistics inside a StatGroup; the group can be dumped as text or
- * JSON, or walked programmatically by benchmark harnesses. Values are
- * plain host-side bookkeeping — they are NOT architectural state and
- * never enter kernel snapshots, so instrumenting a design cannot
- * perturb the lockstep digest comparisons.
+ * JSON, or walked programmatically by benchmark harnesses. Stats are
+ * NOT architectural state: they never enter kernel snapshots, so
+ * instrumenting a design cannot perturb the lockstep digest
+ * comparisons.
+ *
+ * Stats do follow the transaction discipline, though: they count only
+ * committed work. A Stat::inc() or Histogram::sample() made inside a
+ * rule body or atomic action is staged on the transaction in flight
+ * (detail::activeStats) and applied when it commits; an aborted body
+ * (a failed guard, a CM block, a retry or a fault) leaves every stat
+ * as it was. Outside a transaction (construction, testbench code,
+ * between-cycle observers) an update applies at once. Stat::set() and
+ * reset() always apply at once: they are for between-cycle exports
+ * and warmup resets, not for rule bodies.
  */
 #pragma once
 
@@ -20,18 +30,60 @@
 
 namespace cmd {
 
+class Stat;
+class Histogram;
+
+namespace detail {
+/**
+ * Stat updates staged by one transaction: applied in order when it
+ * commits, dropped when it aborts. Each execution context owns one;
+ * the kernel points activeStats at it while a body runs.
+ */
+struct StatStage
+{
+    struct Sample
+    {
+        Histogram *hist;
+        uint64_t value, n;
+    };
+    std::vector<std::pair<Stat *, uint64_t>> incs;
+    std::vector<Sample> samples;
+
+    void apply();
+    void
+    drop()
+    {
+        incs.clear();
+        samples.clear();
+    }
+};
+
+/// Stage of the transaction running on this thread; null outside one.
+inline thread_local StatStage *activeStats = nullptr;
+} // namespace detail
+
 /** A single monotonically updated 64-bit statistic. */
 class Stat
 {
   public:
     Stat() = default;
 
-    void inc(uint64_t n = 1) { value_ += n; }
+    /** Add @p n, staged until commit inside a transaction. */
+    void
+    inc(uint64_t n = 1)
+    {
+        if (detail::StatStage *st = detail::activeStats)
+            st->incs.emplace_back(this, n);
+        else
+            value_ += n;
+    }
     void set(uint64_t v) { value_ = v; }
     uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
   private:
+    friend struct detail::StatStage;
+
     uint64_t value_ = 0;
 };
 
@@ -46,6 +98,8 @@ class Histogram
   public:
     Histogram(uint64_t lo, uint64_t hi, uint32_t nbuckets);
 
+    /** Record @p n samples of @p v, staged until commit inside a
+     *  transaction (see Stat::inc()). */
     void sample(uint64_t v, uint64_t n = 1);
     void reset();
 
@@ -67,6 +121,10 @@ class Histogram
     std::string json() const;
 
   private:
+    friend struct detail::StatStage;
+
+    void record(uint64_t v, uint64_t n);
+
     uint64_t lo_, hi_, width_;
     uint64_t count_ = 0, sum_ = 0;
     uint64_t min_ = ~0ull, max_ = 0;

@@ -160,14 +160,7 @@ OooCore::OooCore(Kernel &k, const std::string &name, uint32_t hartId,
         }());
 
     k.rule(name + ".doCommit", [this] { doCommit(); })
-        .when([this] {
-            if (flushReq_.read().valid || !rob_->frontValid())
-                return false;
-            const RobEntry &e = rob_->front();
-            return e.done || (e.isMmio && e.inst.isMem()) ||
-                   (e.inst.isAtomic() && !e.atCommitSent &&
-                    !pendingAtomic_.read().valid);
-        })
+        .when([this] { return commitReady(); })
         .uses({&rob_->deqM, &rob_->setAtCommitSentM, &rt_->setCommittedM,
                &fl_->freeM, &lsq_->setAtCommitStM, &lsq_->deqStM,
                &lsq_->dropLdM, &prf_->writeM, &sb_->setReadyM})
@@ -192,7 +185,7 @@ OooCore::OooCore(Kernel &k, const std::string &name, uint32_t hartId,
         .uses({&icache_.respLdM});
 
     k.rule(name + ".doFetch3", [this] { doFetch3(); })
-        .when([this] { return f3q_->canDeq(); })
+        .when([this] { return fetch3Ready(); })
         .uses({&f3q_->firstM, &f3q_->deqM, &instQ_->enqM, &bp_->predictM,
                &btb_->predictM, &btb_->updateM, &ras_->pushM, &ras_->popM,
                &epoch_->resteerM});
@@ -692,6 +685,22 @@ OooCore::doIcacheResp()
     fetchResp_.write(r.id, {true, r.line});
 }
 
+bool
+OooCore::fetch3Ready() const
+{
+    // Exactly the implicit guards doFetch3 meets before its first
+    // write, except the room for the whole decoded group (n >= 1 is
+    // known only after decoding; the body retries on it).
+    std::optional<FetchXlated> x = f3q_->peekFirst();
+    if (!x)
+        return false;
+    if (epoch_->isStale(x->req.epoch))
+        return x->fault || fetchResp_.read(x->req.seq).valid;
+    if (x->fault)
+        return instQ_->canEnq(1);
+    return fetchResp_.read(x->req.seq).valid && instQ_->canEnq(1);
+}
+
 void
 OooCore::doFetch3()
 {
@@ -783,6 +792,11 @@ OooCore::doFetch3()
         }
     }
 
+    // Room for one uop is in the guard; room for all n is not.
+    if (!instQ_->canEnq(n)) {
+        cmd::retry();
+        return;
+    }
     fetchGhr_.write(ghr);
     for (uint32_t i = 0; i < n; i++)
         group[i].epoch = epoch_->renameEpoch();
@@ -1597,6 +1611,48 @@ OooCore::emitCommit(const RobEntry &e, bool trapped, uint64_t cause,
         r.volatileRd = e.inst.isCsr() && CsrState::isVolatile(e.inst.csr);
     }
     onCommit(r);
+}
+
+bool
+OooCore::commitReady() const
+{
+    // doCommit's implicit guards, in the order its body meets them: a
+    // done head always commits; an undone head commits only as a
+    // commit-time atomic launch or an MMIO access whose ordering
+    // conditions hold. An atomic to MMIO space passes, so the body
+    // raises its panic.
+    if (flushReq_.read().valid || !rob_->frontValid())
+        return false;
+    const RobEntry &e = rob_->front();
+    if (e.done)
+        return true;
+    const Inst &i = e.inst;
+    if (i.isAtomic() && !e.atCommitSent && !pendingAtomic_.read().valid) {
+        if (i.isLq()) {
+            const Lsq::LqEntry &le = lsq_->lqEntry(e.lsqIdx);
+            return le.valid &&
+                   (le.mmio ||
+                    (le.addrValid &&
+                     (lsq_->sqEmpty() ||
+                      lsq_->firstSt().memSeq > le.memSeq) &&
+                     storeBuf_->empty()));
+        }
+        const Lsq::SqEntry &se = lsq_->sqEntry(e.lsqIdx);
+        return se.valid &&
+               (se.mmio || (se.addrValid && se.dataValid &&
+                            lsq_->sqHeadIdx() == e.lsqIdx &&
+                            storeBuf_->empty()));
+    }
+    if (e.isMmio && i.isMem()) {
+        if (i.isLq())
+            return lsq_->lqHeadIdx() == e.lsqIdx &&
+                   (lsq_->sqEmpty() || lsq_->firstSt().memSeq >
+                                           lsq_->lqEntry(e.lsqIdx).memSeq) &&
+                   storeBuf_->empty();
+        return lsq_->sqHeadIdx() == e.lsqIdx &&
+               lsq_->sqEntry(e.lsqIdx).dataValid && storeBuf_->empty();
+    }
+    return false;
 }
 
 void

@@ -207,6 +207,10 @@ class OooCore
     void doFetch2();
     void doIcacheResp();
     void doFetch3();
+    /** doCommit's when(): the ROB head can commit this attempt. */
+    bool commitReady() const;
+    /** doFetch3's when(): f3q head ready and room for one uop. */
+    bool fetch3Ready() const;
     void doRename();
     void doIssue(uint32_t pipe);
     void doRegRead(uint32_t pipe);

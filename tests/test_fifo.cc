@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <optional>
 #include <random>
 
 #include "core/cmd.hh"
@@ -176,6 +177,65 @@ TEST(Fifo, FirstPeeksWithoutRemoving)
     EXPECT_TRUE(f.notEmpty());
     ASSERT_TRUE(k.runAtomically([&] { v = f.deq(); }));
     EXPECT_EQ(v, 9);
+}
+
+TEST(Fifo, PeekFirstMatchesFirst)
+{
+    // A rule reads peekFirst() and then calls first() in the same
+    // attempt: whenever first() returns, peekFirst() held the same
+    // element; whenever first() failed its guard, peekFirst() held
+    // nothing. A producer enqueues every cycle and a drain dequeues on
+    // two cycles of three, so the head moves, wraps and, on a Cf fifo,
+    // is enqueued into while empty in the same cycle it is looked at.
+    for (FifoKind kind : {FifoKind::Pipeline, FifoKind::Bypass,
+                          FifoKind::Cf}) {
+        SCOPED_TRACE(int(kind));
+        Kernel k;
+        Fifo<uint32_t> f(k, "f", 3, kind);
+        Reg<uint32_t> next(k, "next", 1);
+        Reg<uint32_t> tick(k, "tick", 0);
+        std::optional<uint32_t> peeked;
+        uint32_t got = 0;
+        k.rule("prod", [&] {
+             f.enq(next.read());
+             next.write(next.read() + 1);
+         }).uses({&f.enqM});
+        Rule &look = k.rule("look", [&] {
+                          peeked = f.peekFirst();
+                          got = f.first();
+                      }).uses({&f.firstM});
+        k.rule("drain", [&] {
+             tick.write(tick.read() + 1);
+             if (tick.read() % 3 != 0)
+                 f.deq();
+         }).uses({&f.deqM});
+        k.elaborate();
+
+        uint32_t fired = 0, empty = 0;
+        for (int c = 0; c < 60; c++) {
+            peeked.reset();
+            got = 0;
+            k.cycle();
+            if (kind == FifoKind::Cf && c == 0) {
+                // prod enqueued into the empty fifo before look ran,
+                // but both calls see the start-of-cycle (empty) view.
+                EXPECT_EQ(f.size(), 1u);
+                EXPECT_EQ(look.lastOutcome(), Rule::Outcome::GuardFalse);
+            }
+            if (look.lastOutcome() == Rule::Outcome::Fired) {
+                ASSERT_TRUE(peeked.has_value()) << "cycle " << c;
+                EXPECT_EQ(*peeked, got) << "cycle " << c;
+                fired++;
+            } else if (look.lastOutcome() == Rule::Outcome::GuardFalse) {
+                EXPECT_FALSE(peeked.has_value()) << "cycle " << c;
+                empty++;
+            }
+        }
+        EXPECT_GT(fired, 20u);
+        if (kind != FifoKind::Bypass) { // look sees cycle 0's empty fifo
+            EXPECT_GE(empty, 1u);
+        }
+    }
 }
 
 /** Randomized FIFO-vs-std::deque model check, one per kind. */

@@ -181,6 +181,67 @@ TEST(Atomicity, AbortedRuleLeavesNoTrace)
     EXPECT_EQ(r.firedCount(), 0u);
 }
 
+TEST(Stats, AbortedRuleCountsNothing)
+{
+    // Stats follow the transaction: an update inside an aborted body
+    // (a GuardFail throw or a retry()) is dropped with its writes, one
+    // inside a fired body lands at commit, one outside applies at once.
+    Kernel k;
+    StatGroup g;
+    Stat &n = g.counter("n");
+    Histogram &h = g.histogram("h", 0, 8, 4);
+    Reg<int> mode(k, "mode", 0);
+    Rule &r = k.rule("count", [&] {
+        n.inc(5);
+        h.sample(3);
+        if (mode.read() == 0)
+            require(false);
+        if (mode.read() == 1) {
+            retry();
+            return;
+        }
+    });
+    k.elaborate();
+
+    k.cycle(); // throws
+    EXPECT_EQ(n.value(), 0u);
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.sum(), 0u);
+    EXPECT_EQ(r.guardAbortCount(), 1u);
+
+    k.runAtomically([&] { mode.write(1); });
+    k.cycle(); // retries
+    EXPECT_EQ(n.value(), 0u);
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(r.guardAbortCount(), 2u);
+
+    // An aborted atomic action drops its updates too.
+    EXPECT_FALSE(k.runAtomically([&] {
+        n.inc();
+        h.sample(1);
+        retry();
+    }));
+    EXPECT_FALSE(k.runAtomically([&] {
+        n.inc();
+        require(false);
+    }));
+    EXPECT_EQ(n.value(), 0u);
+    EXPECT_EQ(h.count(), 0u);
+
+    k.runAtomically([&] { mode.write(2); });
+    k.cycle(); // fires: the staged updates commit
+    EXPECT_EQ(r.firedCount(), 1u);
+    EXPECT_EQ(n.value(), 5u);
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_EQ(h.sum(), 3u);
+
+    n.inc(); // outside any transaction: at once
+    h.sample(7);
+    EXPECT_EQ(n.value(), 6u);
+    EXPECT_EQ(h.count(), 2u);
+    EXPECT_EQ(h.max(), 7u);
+}
+
 TEST(Atomicity, SwapSemantics)
 {
     Kernel k;
@@ -737,12 +798,28 @@ TEST(Kernel, ProgressReportMentionsRules)
     Reg<int> x(k, "x", 0);
     k.rule("tick", [&] { x.write(x.read() + 1); });
     k.rule("never", [&] { require(false); });
+    k.rule("later", [&] { retry(); });
     k.elaborate();
-    k.cycle();
-    std::string rep = k.report().text();
+    k.run(2);
+    KernelReport kr = k.report();
+    std::string rep = kr.text();
     EXPECT_NE(rep.find("tick"), std::string::npos);
     EXPECT_NE(rep.find("never"), std::string::npos);
     EXPECT_NE(rep.find("guard-false"), std::string::npos);
+    // Each rule line names how its guard aborts ended: by a throw or
+    // by a retry(). The report-wide guardThrows counts throws only.
+    EXPECT_NE(rep.find("never: last=guard-false fired=0 guardAborts=2 "
+                       "cmAborts=0 guardThrows=2 retries=0"),
+              std::string::npos)
+        << rep;
+    EXPECT_NE(rep.find("later: last=guard-false fired=0 guardAborts=2 "
+                       "cmAborts=0 guardThrows=0 retries=2"),
+              std::string::npos)
+        << rep;
+    EXPECT_NE(rep.find("guardThrows=2 retries=2\n"), std::string::npos)
+        << rep;
+    EXPECT_EQ(kr.guardThrows, 2u);
+    EXPECT_EQ(kr.retries, 2u);
 
     // A one-domain Parallel kernel runs on the main context, like
     // EventDriven: no pool ran, so the report carries no parallel

@@ -182,6 +182,73 @@ TEST(Scheduler, GuardedBodyImplicitFailStaysAwake)
     EXPECT_EQ(out.read(), 0);
 }
 
+TEST(Scheduler, RetryRollsBackAndStaysAwake)
+{
+    Kernel k;
+    k.setScheduler(SchedulerKind::EventDriven);
+    Reg<int> gate(k, "gate", 1);
+    Reg<int> ready(k, "ready", 0);
+    Reg<int> out(k, "out", 0);
+    // The when() guard passes; the body writes, then finds it must
+    // wait and retries: no throw, the write rolls back, and (as after
+    // a throw) the rule stays awake, since body reads are untracked.
+    Rule &r = k.rule("waiter", [&] {
+                   out.write(out.read() + 1);
+                   if (ready.read() == 0) {
+                       retry();
+                       return;
+                   }
+               }).when([&] { return gate.read() != 0; });
+    k.elaborate();
+    auto line = [&] {
+        for (const KernelReport::RuleLine &l : k.report().rules)
+            if (l.name == "waiter")
+                return l;
+        ADD_FAILURE() << "no report line for waiter";
+        return KernelReport::RuleLine{};
+    };
+
+    k.cycle();
+    EXPECT_EQ(out.read(), 0);
+    EXPECT_EQ(r.lastOutcome(), Rule::Outcome::GuardFalse);
+    EXPECT_FALSE(r.asleep());
+    EXPECT_EQ(k.report().guardThrows, 0u);
+    EXPECT_EQ(k.report().retries, 1u);
+    EXPECT_EQ(line().retries, 1u);
+    EXPECT_EQ(line().guardThrows, 0u);
+
+    k.run(3);
+    EXPECT_EQ(out.read(), 0);
+    EXPECT_FALSE(r.asleep());
+    EXPECT_EQ(r.guardAbortCount(), 4u);
+    EXPECT_EQ(line().retries, 4u);
+    EXPECT_EQ(k.report().guardThrows, 0u);
+
+    // Once the condition holds, the next attempt fires.
+    k.runAtomically([&] { ready.write(1); });
+    k.cycle();
+    EXPECT_EQ(r.lastOutcome(), Rule::Outcome::Fired);
+    EXPECT_EQ(out.read(), 1);
+    EXPECT_EQ(line().retries, 4u);
+
+    // An atomic action that retries commits nothing and reports false.
+    EXPECT_FALSE(k.runAtomically([&] {
+        out.write(99);
+        retry();
+    }));
+    EXPECT_EQ(out.read(), 1);
+    EXPECT_EQ(k.report().retries, 5u);
+    EXPECT_EQ(k.report().guardThrows, 0u);
+
+    // retry() outside a rule or atomic action is an API misuse.
+    try {
+        retry();
+        FAIL() << "retry() outside a transaction did not fault";
+    } catch (const KernelFault &f) {
+        EXPECT_EQ(f.kind(), FaultKind::ApiMisuse) << f.describe();
+    }
+}
+
 TEST(Scheduler, SnapshotRestoreResetsSleepBookkeeping)
 {
     Kernel k;

@@ -1,9 +1,12 @@
 /**
  * @file
- * Tests for TimedFifo (latency-modeling FIFO) and GroupFifo
- * (superscalar enq/deq ports).
+ * Tests for TimedFifo (latency-modeling FIFO), the EpochCounter
+ * behind its PDES views, and GroupFifo (superscalar enq/deq ports).
  */
 #include <gtest/gtest.h>
+
+#include <random>
+#include <vector>
 
 #include "core/timed_fifo.hh"
 #include "ooo/group_fifo.hh"
@@ -77,6 +80,46 @@ TEST(TimedFifo, CapacityBackpressure)
     k.cycle();
     EXPECT_FALSE(f.canEnq());
     EXPECT_FALSE(k.runAtomically([&] { f.enq(3); }));
+}
+
+TEST(EpochCounter, PublishedRingMatchesLiveRing)
+{
+    // publish() copies only the ring slots written since the last
+    // publish. Drive random commits (0-3 per cycle: an append plus
+    // same-cycle bumps in place), gaps, ring wraps and snapshot
+    // restores; after every publish the published history must answer
+    // every epoch exactly as the live one.
+    Kernel k;
+    EpochCounter ec(k, "ec", 2); // ring of 2*2+8 = 12 records
+    k.elaborate();
+    std::mt19937 rng(7);
+    std::vector<uint8_t> snap;
+    uint64_t publishes = 0, restores = 0;
+    for (int cyc = 0; cyc < 400; cyc++) {
+        uint32_t bumps = rng() % 4;
+        for (uint32_t b = 0; b < bumps; b++) {
+            ASSERT_TRUE(k.runAtomically(
+                [&] { ec.write(ec.read() + 1 + rng() % 5); }));
+        }
+        if (rng() % 37 == 0)
+            snap = k.snapshot();
+        if (!snap.empty() && rng() % 53 == 0) {
+            k.restore(snap);
+            restores++;
+        }
+        if (rng() % 3 == 0) {
+            ec.publish();
+            publishes++;
+            uint64_t now = k.cycleCount();
+            EXPECT_EQ(ec.readPublished(), ec.read()) << "cycle " << now;
+            for (uint64_t c = 0; c <= now + 1; c++)
+                ASSERT_EQ(ec.readPublishedAt(c), ec.readAt(c))
+                    << "cycle " << now << " epoch " << c;
+        }
+        k.cycle();
+    }
+    EXPECT_GT(publishes, 100u);
+    EXPECT_GT(restores, 2u);
 }
 
 TEST(GroupFifo, GroupEnqAndPartialDeq)
