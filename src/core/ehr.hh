@@ -69,11 +69,11 @@ class Ehr : public StateBase
     void
     write(uint32_t p, const T &v)
     {
+        kernel_.checkWriteDomain(this); // first (see Reg::write)
         checkPort(p);
         if (valid_[p])
             kfault(FaultKind::DesignError, name(),
                    "double write on EHR port %u", p);
-        // Touch before staging (see Reg::write).
         if (!touched())
             kernel_.noteStateTouched(this);
         staged_[p] = v;

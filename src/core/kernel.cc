@@ -1,5 +1,7 @@
 #include "core/kernel.hh"
 
+#include "core/reg.hh"
+
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
@@ -18,6 +20,28 @@ nsSince(const std::chrono::steady_clock::time_point &t0)
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** Monotonic timestamp in ns (sync-wait accounting). */
+uint64_t
+nowNs()
+{
+    return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now().time_since_epoch())
+                        .count());
+}
+
+/** Spin, then yield, until @p done() holds (the pool's barriers). */
+template <typename Pred>
+void
+spinUntil(Pred done)
+{
+    for (uint32_t spins = 0; !done();) {
+        if (++spins < 1024)
+            detail::cpuRelax();
+        else
+            std::this_thread::yield();
+    }
 }
 
 } // namespace
@@ -415,6 +439,7 @@ Kernel::registerModule(Module *m)
 
 void
 Kernel::registerChannel(ChannelPort &p, Module &enq, Module &deq,
+                        EpochCounter &enqCount, EpochCounter &deqCount,
                         bool *cross)
 {
     if (elaborated_)
@@ -424,6 +449,8 @@ Kernel::registerChannel(ChannelPort &p, Module &enq, Module &deq,
     deq.boundarySide_ = true;
     p.enqEnd_ = &enq;
     p.deqEnd_ = &deq;
+    p.enqCount_ = &enqCount;
+    p.deqCount_ = &deqCount;
     p.cross_ = cross;
     channels_.push_back(&p);
 }
@@ -431,11 +458,17 @@ Kernel::registerChannel(ChannelPort &p, Module &enq, Module &deq,
 void
 Kernel::unregisterChannel(ChannelPort *p)
 {
-    auto drop = [p](std::vector<ChannelPort *> &v) {
-        v.erase(std::remove(v.begin(), v.end(), p), v.end());
-    };
-    drop(channels_);
-    drop(crossChannels_);
+    channels_.erase(std::remove(channels_.begin(), channels_.end(), p),
+                    channels_.end());
+    for (detail::ExecContext &c : ctxs_) {
+        std::vector<EpochCounter *> &v = c.publishes;
+        v.erase(std::remove_if(v.begin(), v.end(),
+                               [p](EpochCounter *e) {
+                                   return e == p->enqCount_ ||
+                                          e == p->deqCount_;
+                               }),
+                v.end());
+    }
 }
 
 Rule &
@@ -505,7 +538,8 @@ Kernel::onMethodCall(const Method &m)
 }
 
 void
-Kernel::crossDomainTouchFault(detail::ExecContext *c, StateBase *s)
+Kernel::crossDomainTouchFault(const detail::ExecContext *c,
+                              const StateBase *s)
 {
     kfault(FaultKind::CrossDomain, s->name(),
            "written from domain %u but owned by domain %u: cross-domain "
@@ -693,7 +727,7 @@ Kernel::runCtxCycle(detail::ExecContext &c)
         Rule *r = c.sched[pos];
         visited++;
         // Capture the read set of this attempt (guard and body).
-        c.readMark = newReadMark();
+        c.readMark++;
         c.readSet.clear();
         c.readOverflow = false;
         c.cycleRead = false;
@@ -769,14 +803,15 @@ Kernel::ensurePool()
         return;
     stopWorkers();
     workers_.reserve(workersWanted);
-    for (uint32_t i = 0; i < workersWanted; i++) {
+    poolThreads_ = workersWanted + 1;
+    for (uint32_t t = 1; t <= workersWanted; t++) {
         // Capture the generation on THIS thread, before the caller can
         // bump it for the first cycle. A worker that loaded its own
         // starting generation could observe the post-bump value and
         // park waiting for a cycle that is already in flight --
         // wedging the barrier on a cycle no worker will run.
         uint64_t gen = startGen_.load(std::memory_order_acquire);
-        workers_.emplace_back([this, gen] { workerMain(gen); });
+        workers_.emplace_back([this, gen, t] { workerMain(gen, t); });
     }
 }
 
@@ -793,21 +828,34 @@ Kernel::stopWorkers()
     for (std::thread &t : workers_)
         t.join();
     workers_.clear();
+    poolThreads_ = 1;
     stopPool_.store(false, std::memory_order_relaxed);
 }
 
 void
-Kernel::runDomains()
+Kernel::runThreadWindow(uint32_t t)
 {
-    while (true) {
-        // acq_rel: the acquire half pairs with the release store that
-        // reset the cursor for this cycle, so even a thread that never
-        // observed the startGen_ bump (a straggler from the previous
-        // cycle) sees the new cycle_ and the published channels before
-        // it runs a domain.
-        uint32_t d = claimCursor_.fetch_add(1, std::memory_order_acq_rel);
-        if (d >= domainCount_)
-            return;
+    // Fixed packing: thread t always runs domains t, t + T, ..., so a
+    // domain's state stays in one core's cache across windows. Within
+    // a window cross-domain rules commute, so which thread runs which
+    // domain cannot change a result.
+    const uint32_t T = poolThreads_;
+    // Owner publish: each cross-domain counter is latched by the
+    // thread that runs the domain writing it, which is also the only
+    // thread that committed to it in the last window.
+    for (uint32_t d = t; d < domainCount_; d += T) {
+        for (EpochCounter *e : ctxs_[d].publishes)
+            e->publish();
+    }
+    // Publish barrier: no domain may read a published view before
+    // every thread has latched its counters. The views then stay
+    // frozen until the next window's publish, which the driving
+    // thread releases only after every thread finished this one.
+    publishedCount_.fetch_add(1, std::memory_order_acq_rel);
+    spinUntil([&] {
+        return publishedCount_.load(std::memory_order_acquire) == T;
+    });
+    for (uint32_t d = t; d < domainCount_; d += T) {
         try {
             runDomainCycle(ctxs_[d]);
         } catch (...) {
@@ -817,14 +865,12 @@ Kernel::runDomains()
             // matter how threads interleaved.
             domainFaults_[d] = std::current_exception();
         }
-        // Timestamp before the done-publication: the barrier release
-        // reads it to account this domain's sync wait.
-        ctxs_[d].windowDoneNs = uint64_t(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-        doneCount_.fetch_add(1, std::memory_order_release);
     }
+    // Every domain of this thread waits from here to the release: the
+    // thread is idle, whichever of its domains ran last.
+    uint64_t done = nowNs();
+    for (uint32_t d = t; d < domainCount_; d += T)
+        ctxs_[d].windowDoneNs = done;
 }
 
 void
@@ -849,7 +895,7 @@ Kernel::runDomainCycle(detail::ExecContext &c)
 }
 
 void
-Kernel::workerMain(uint64_t seen)
+Kernel::workerMain(uint64_t seen, uint32_t t)
 {
     while (true) {
         uint64_t gen = seen;
@@ -872,7 +918,8 @@ Kernel::workerMain(uint64_t seen)
         if (stopPool_.load(std::memory_order_acquire))
             return;
         seen = gen;
-        runDomains();
+        runThreadWindow(t);
+        doneCount_.fetch_add(1, std::memory_order_release);
     }
 }
 
@@ -887,41 +934,30 @@ Kernel::runParallelWindow(uint32_t width)
     // which is what makes the window-start published views
     // sufficient for every cross-domain read inside the window.
     ensurePool();
-    // Batched exchange: latch the counters (scalar + epoch history)
-    // of every cross-domain channel. Published values stay frozen
-    // until the next barrier. A channel whose two ends share a domain
-    // is sequential code inside that domain: nothing reads its
-    // published view, so it is not exchanged.
-    for (ChannelPort *p : crossChannels_)
-        p->publish();
     parallelCycles_ += width;
     syncEpochs_++;
     windowWidth_ = width;
+    // Both barrier counters are reset before the release below: every
+    // worker passed the last window's publish barrier and reported
+    // done, so none still reads them.
+    publishedCount_.store(0, std::memory_order_relaxed);
     doneCount_.store(0, std::memory_order_relaxed);
-    claimCursor_.store(0, std::memory_order_release);
     {
         std::lock_guard<std::mutex> g(poolMutex_);
         startGen_.fetch_add(1, std::memory_order_release);
     }
     poolCv_.notify_all();
-    runDomains();
+    runThreadWindow(0);
     auto t0 = std::chrono::steady_clock::now();
-    uint32_t spins = 0;
-    while (doneCount_.load(std::memory_order_acquire) < domainCount_) {
-        if (++spins < 1024) {
-            detail::cpuRelax();
-            continue;
-        }
-        std::this_thread::yield();
-    }
+    spinUntil([&] {
+        return doneCount_.load(std::memory_order_acquire) ==
+               poolThreads_ - 1;
+    });
     barrierWaitNs_ += nsSince(t0);
-    // Per-domain sync wait: time between a domain finishing its
-    // window and the barrier releasing (all domains done) — the
-    // imbalance cost report()/Perfetto surface per domain.
-    uint64_t releaseNs = uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+    // Per-domain sync wait: the idle time of the domain's thread, from
+    // the finish of its last domain to the barrier release (all
+    // threads done) — the imbalance cost report()/Perfetto surface.
+    uint64_t releaseNs = nowNs();
     for (detail::ExecContext &c : ctxs_) {
         if (releaseNs > c.windowDoneNs)
             c.syncWaitNs += releaseNs - c.windowDoneNs;
@@ -1204,12 +1240,11 @@ Kernel::computeDomains()
         s->domain_ = s->domainOwner_ ? s->domainOwner_->domain_
                                      : domainOfNode(s->hintGroup_);
     }
-    crossChannels_.clear();
-    for (ChannelPort *p : channels_) {
-        *p->cross_ = p->enqEnd_->domain_ != p->deqEnd_->domain_;
-        if (*p->cross_)
-            crossChannels_.push_back(p);
-    }
+    // Read-set marks of context d start at (d + 1) << 48 (see
+    // ExecContext::readMark); 16 bits hold every domain id.
+    if (domainCount_ >= 0xffffu)
+        kfault(FaultKind::DesignError, "kernel",
+               "%u domains: at most 65534 supported", domainCount_);
 
     // One execution context per domain, each holding its slice of the
     // global schedule (relative order within a domain is preserved).
@@ -1218,10 +1253,23 @@ Kernel::computeDomains()
         ctxs_.emplace_back();
         ctxs_.back().domainId = d;
         ctxs_.back().kernel = this;
+        ctxs_.back().readMark = uint64_t(d + 1) << 48;
     }
     for (Rule *r : schedule_)
         ctxs_[r->domain_].sched.push_back(r);
     mainCtx_.sched = schedule_;
+
+    // A channel whose two ends share a domain is sequential code
+    // inside it: nothing reads its published views. For a cut
+    // channel, the domain on each side publishes the counter it
+    // writes.
+    for (ChannelPort *p : channels_) {
+        *p->cross_ = p->enqEnd_->domain_ != p->deqEnd_->domain_;
+        if (*p->cross_) {
+            ctxs_[p->enqEnd_->domain_].publishes.push_back(p->enqCount_);
+            ctxs_[p->deqEnd_->domain_].publishes.push_back(p->deqCount_);
+        }
+    }
 
     // Name each domain after the hint group of its earliest-scheduled
     // rule (watchdog dumps and report() name domains).
@@ -1246,7 +1294,9 @@ Kernel::computeDomains()
     // degenerate every window to per-cycle sync, so it is a named
     // elaboration-time design error instead.
     fifoMinLookahead_ = ~0u;
-    for (const ChannelPort *p : crossChannels_) {
+    for (const ChannelPort *p : channels_) {
+        if (!*p->cross_)
+            continue;
         uint32_t lat = p->latency();
         if (lat == 0) {
             FaultContext fc;

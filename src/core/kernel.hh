@@ -91,6 +91,7 @@ class Module;
 class Method;
 class Rule;
 class StateBase;
+class EpochCounter;
 
 /** Conflict-matrix entry for a pair of methods (or rules). */
 enum class Conflict : uint8_t {
@@ -121,10 +122,12 @@ const char *toString(Conflict c);
  *    so the architectural state evolution is bit-identical to
  *    Exhaustive.
  *  - Parallel: the event-driven scheduler, run concurrently across the
- *    domains computed at elaboration on a persistent thread pool with
- *    a per-cycle barrier. Falls back to the sequential event-driven
- *    walk when the design partitions into a single domain. State
- *    evolution stays bit-identical to the other schedulers.
+ *    domains computed at elaboration on a persistent thread pool in
+ *    which each thread runs a fixed set of domains, with barriers
+ *    only at sync-window edges. Falls back to the sequential
+ *    event-driven walk when the design partitions into a single
+ *    domain. State evolution stays bit-identical to the other
+ *    schedulers.
  *  - Compiled: retired. Kernel::setScheduler() rejects it with an
  *    ApiMisuse fault; the enumerator remains only so existing
  *    switches over SchedulerKind keep compiling.
@@ -184,10 +187,11 @@ require(bool cond)
  * A latency-bearing channel as the kernel sees it (TimedFifo is the
  * one implementation; each fifo registers itself once, with
  * Kernel::registerChannel()). Its two endpoint modules are the
- * partitioner's cut; when they land in different domains the channel
- * is published at every parallel sync barrier and its latency bounds
- * the sync window. The watchdog dumps occupancies through it; the
- * fault injector drops or delays in-flight messages. The fault
+ * partitioner's cut; when they land in different domains, each side's
+ * occupancy counter is published at every sync window start by the
+ * thread that runs that side's domain, and the channel's latency
+ * bounds the sync window. The watchdog dumps occupancies through it;
+ * the fault injector drops or delays in-flight messages. The fault
  * methods must be called between cycles only — they mutate channel
  * state through an atomic action on the owning kernel.
  */
@@ -209,18 +213,15 @@ class ChannelPort
      * is the minimum latency over all cross-domain channels.
      */
     virtual uint32_t latency() const = 0;
-    /**
-     * Latch the state the other side's domain reads (TimedFifo: both
-     * occupancy counters). Called on the driving thread at every
-     * parallel sync barrier, for cross-domain channels only.
-     */
-    virtual void publish() = 0;
 
   private:
     friend class Kernel;
     Module *enqEnd_ = nullptr; ///< producer endpoint (the cut's one side)
     Module *deqEnd_ = nullptr; ///< consumer endpoint
-    bool *cross_ = nullptr;    ///< set at elaboration: ends split?
+    /// the counter each side writes and the other side reads published
+    EpochCounter *enqCount_ = nullptr;
+    EpochCounter *deqCount_ = nullptr;
+    bool *cross_ = nullptr; ///< set at elaboration: ends split?
 };
 
 /**
@@ -288,8 +289,10 @@ struct KernelReport
         uint64_t wakes = 0;
         uint64_t sleepSkips = 0;
         uint64_t execNs = 0;
-        /// ns this domain spent waiting at sync barriers for the
-        /// other domains (window completion to barrier release).
+        /// ns the thread running this domain spent waiting at sync
+        /// barriers for the other threads (the finish of its last
+        /// domain to the barrier release); equal for the domains of
+        /// one thread.
         uint64_t syncWaitNs = 0;
     };
 
@@ -373,7 +376,13 @@ enum class ReadMode : uint8_t {
 /// crash dumps show the merged tail of these).
 constexpr uint32_t kFireRingSize = 64;
 
-struct ExecContext
+/// Cache-line size: state one thread writes while another runs starts
+/// on its own line, so the two threads never share one.
+constexpr size_t kCacheLine = 64;
+
+// Line-aligned: the contexts of neighbouring domains run on different
+// threads and write their per-attempt fields at every attempt.
+struct alignas(kCacheLine) ExecContext
 {
     uint32_t domainId = kNoDomain;
     Kernel *kernel = nullptr; ///< owning kernel (fault-context capture)
@@ -393,11 +402,18 @@ struct ExecContext
     bool cycleRead = false;       ///< attempt read cycleCount()
     bool readOverflow = false;
     bool attemptCaptured = true;  ///< read set covers the whole attempt
-    uint64_t readMark = 0;        ///< current attempt's dedup stamp
+    /// current attempt's dedup stamp, bumped per attempt. Contexts
+    /// share the per-state readMark_ slots, so each draws from its own
+    /// range (domain d + 1 in the top 16 bits, 0 for the main context)
+    /// and marks never repeat across contexts or scheduler switches.
+    uint64_t readMark = 0;
     std::vector<StateBase *> readSet;
 
     /// this context's rules, in global schedule order
     std::vector<Rule *> sched;
+    /// cross-domain channel counters this domain writes; the thread
+    /// that runs the domain publishes them at every window start
+    std::vector<EpochCounter *> publishes;
     /// bitmap over sched positions of awake rules (the event wheel)
     std::vector<uint64_t> awakeBits;
 
@@ -417,9 +433,10 @@ struct ExecContext
     /// this domain's simulated cycle inside the current window; the
     /// kernel-visible time for every rule running on this context
     uint64_t localCycle = 0;
-    /// ns this domain spent finished-and-waiting at sync barriers
+    /// ns the thread running this domain spent idle at sync barriers
     uint64_t syncWaitNs = 0;
-    /// monotonic timestamp when this domain finished its window
+    /// monotonic timestamp when the thread running this domain
+    /// finished its last domain of the window
     uint64_t windowDoneNs = 0;
 
     /// Ring of the last kFireRingSize (rule, cycle) fires of this
@@ -1087,13 +1104,24 @@ class Kernel
      * Declare channel @p p, with producer endpoint @p enq and consumer
      * endpoint @p deq: the partitioner treats the two endpoints as
      * separate nodes (the cut), and after partitioning stores into
-     * @p cross whether they landed in different domains. Before
-     * elaboration only.
+     * @p cross whether they landed in different domains. For a cut
+     * channel, @p enqCount and @p deqCount (the counters each side
+     * writes) are published at every sync window start by the thread
+     * running the writing side's domain. Before elaboration only.
      */
     void registerChannel(ChannelPort &p, Module &enq, Module &deq,
+                         EpochCounter &enqCount, EpochCounter &deqCount,
                          bool *cross);
     void unregisterChannel(ChannelPort *p);
     void onMethodCall(const Method &m);
+    /**
+     * Reject a write to @p s from a rule of another domain. Every
+     * write path of a state element calls this before it reads any of
+     * its own staging state, which belongs to the domain that owns it
+     * and may be in use on another thread. Inline, below StateBase.
+     */
+    void checkWriteDomain(const StateBase *s);
+    /** Register @p s with the transaction in flight (first write). */
     void noteStateTouched(StateBase *s); // inline, below StateBase
     bool
     inRule() const
@@ -1101,10 +1129,12 @@ class Kernel
         detail::ExecContext *c = detail::activeCtx;
         return c && c->inRule;
     }
-    /** Slow path of StateBase::noteRead(). */
+    /** Slow path of StateBase::noteRead(): capture a guard's read set
+     *  or raise CrossDomain. */
     void noteStateRead(StateBase *s, detail::ExecContext &c);
-    /** Out-of-line fault path of noteStateTouched(). */
-    void crossDomainTouchFault(detail::ExecContext *c, StateBase *s);
+    /** Out-of-line fault path of checkWriteDomain(). */
+    void crossDomainTouchFault(const detail::ExecContext *c,
+                               const StateBase *s);
 
   private:
     friend class Module;
@@ -1139,12 +1169,6 @@ class Kernel
     void addWaiter(StateBase *s, Rule *r);
     /** Wake every rule and drop all waiter lists. */
     void wakeAll();
-    /** Fresh kernel-unique read-set dedup stamp for one attempt. */
-    uint64_t
-    newReadMark()
-    {
-        return readMarkSrc_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
 
     // ---- domain partitioning + parallel driver internals
     void pushHint(const std::string &name);
@@ -1155,12 +1179,17 @@ class Kernel
     void bindContexts();
     /** Run a @p width cycle sync window on the domain pool. */
     uint32_t runParallelWindow(uint32_t width);
-    /** Claim and run unprocessed domains until none remain. */
-    void runDomains();
+    /**
+     * Thread @p t's share of one window: publish the counters its
+     * domains write, meet the other threads at the publish barrier,
+     * then run domains t, t + T, t + 2T, ... (T = pool threads).
+     */
+    void runThreadWindow(uint32_t t);
     void runDomainCycle(detail::ExecContext &c);
     /** @param seen starting generation, captured by the spawning
-     *  thread before the first cycle's bump (see ensurePool()). */
-    void workerMain(uint64_t seen);
+     *  thread before the first cycle's bump (see ensurePool());
+     *  @param t the worker's thread index (1 .. T-1). */
+    void workerMain(uint64_t seen, uint32_t t);
     void ensurePool();
     void stopWorkers();
     uint32_t effectiveThreads() const;
@@ -1195,10 +1224,6 @@ class Kernel
     detail::ExecContext mainCtx_;
     /// one context per domain (parallel scheduler); stable addresses
     std::deque<detail::ExecContext> ctxs_;
-    /// kernel-unique source of read-set dedup stamps: contexts share
-    /// the per-state readMark_ stamp slots, so marks must never repeat
-    /// across contexts
-    std::atomic<uint64_t> readMarkSrc_{0};
 
     // Domain partitioning:
     std::vector<std::string> hintNames_{""}; ///< group names; [0] = root
@@ -1206,9 +1231,6 @@ class Kernel
     std::vector<uint32_t> hintStack_{0};
     /// every registered channel, in construction order
     std::vector<ChannelPort *> channels_;
-    /// the channels whose endpoints landed in different domains (set
-    /// at elaboration): the only ones a sync barrier publishes
-    std::vector<ChannelPort *> crossChannels_;
     uint32_t domainCount_ = 1;
     bool parallelActive_ = false;
     /// resolved domain -> display name (hint groups; filled at elab)
@@ -1226,8 +1248,9 @@ class Kernel
     std::condition_variable poolCv_;
     std::atomic<uint64_t> startGen_{0};  ///< bumped to release a cycle
     std::atomic<bool> stopPool_{false};
-    std::atomic<uint32_t> claimCursor_{0}; ///< next unclaimed domain
-    std::atomic<uint32_t> doneCount_{0};   ///< domains finished
+    uint32_t poolThreads_ = 1; ///< T: the workers plus the driving thread
+    std::atomic<uint32_t> publishedCount_{0}; ///< threads past publish
+    std::atomic<uint32_t> doneCount_{0};      ///< workers finished
     uint64_t barrierWaitNs_ = 0;
     uint64_t parallelCycles_ = 0;
 
@@ -1242,14 +1265,27 @@ inline void
 StateBase::noteRead() const
 {
     detail::ExecContext *c = detail::activeCtx;
-    if (c && c->readMode != detail::ReadMode::Off)
-        kernel_.noteStateRead(const_cast<StateBase *>(this), *c);
+    if (!c || c->readMode == detail::ReadMode::Off)
+        return;
+    // A parallel body reading its own domain's state: nothing to
+    // capture and nothing to reject.
+    if (c->readMode == detail::ReadMode::Enforce && domain_ == c->domainId)
+        return;
+    kernel_.noteStateRead(const_cast<StateBase *>(this), *c);
 }
 
 inline void
 Method::operator()() const
 {
     owner_.kernel().onMethodCall(*this);
+}
+
+inline void
+Kernel::checkWriteDomain(const StateBase *s)
+{
+    const detail::ExecContext *c = detail::activeCtx;
+    if (c && c->domainId != detail::kNoDomain && s->domain_ != c->domainId)
+        crossDomainTouchFault(c, s); // throws
 }
 
 inline void
@@ -1262,8 +1298,6 @@ Kernel::noteStateTouched(StateBase *s)
         mainCtx_.touched.push_back(s);
         return;
     }
-    if (c->domainId != detail::kNoDomain && s->domain_ != c->domainId)
-        crossDomainTouchFault(c, s); // throws
     c->touched.push_back(s);
 }
 

@@ -63,12 +63,13 @@ class Reg final : public StateBase
     void
     write(const T &v)
     {
+        // The domain check comes first: a cross-domain writer must not
+        // even read stagedValid_ (the owning domain may be staging on
+        // another thread), and nothing may be staged past a rejection.
+        kernel_.checkWriteDomain(this);
         if (stagedValid_)
             kfault(FaultKind::DesignError, name(),
                    "double write within one rule");
-        // Register with the transaction before staging: if the touch
-        // is rejected (cross-domain write), nothing must be staged, or
-        // the orphaned value would leak past the rollback.
         kernel_.noteStateTouched(this);
         staged_ = v;
         detail::clearPadding(staged_);
@@ -147,9 +148,8 @@ class EpochCounter final : public StateBase
     EpochCounter(Kernel &kernel, std::string name, uint32_t lagCycles,
                  uint64_t init = 0)
         : StateBase(kernel, std::move(name)), cur_(init), floor_(init),
-          pubCur_(init), pubFloor_(init),
           hist_(2 * size_t(lagCycles ? lagCycles : 1) + 8),
-          pubHist_(hist_.size())
+          pubCur_(init), pubFloor_(init), pubHist_(hist_.size())
     {
     }
 
@@ -190,11 +190,11 @@ class EpochCounter final : public StateBase
 
     /**
      * Value as of the end of cycle @p c, from the epoch batch latched
-     * by publish() at the last sync barrier. Complete for every epoch
-     * up to the publish cycle; written solely by the driving thread
-     * at the barrier, so cross-domain reads are race-free. Bypasses
-     * noteRead() — callers flag themselves with
-     * detail::noteCrossRead().
+     * by publish() at the last sync window start. Complete for every
+     * epoch up to the publish cycle; written only by publish(), before
+     * the window's publish barrier, so cross-domain reads during the
+     * window are race-free. Bypasses noteRead() — callers flag
+     * themselves with detail::noteCrossRead().
      */
     uint64_t
     readPublishedAt(uint64_t c) const
@@ -202,17 +202,18 @@ class EpochCounter final : public StateBase
         return valueAt(pubHist_, pubFloor_, pubPos_, pubCount_, c);
     }
 
-    /** Scalar value as latched at the last sync barrier. */
+    /** Scalar value as latched at the last sync window start. */
     uint64_t readPublished() const { return pubCur_; }
 
     /**
      * Latch the committed value and its history ring for cross-domain
-     * readers. Called on the driving thread at every parallel sync
-     * barrier, by the owning TimedFifo's publish() and only while its
-     * two ends sit in different domains. Commits write only the newest
-     * slot (an append, or a same-cycle update in place), so copying
-     * the slots written since the last publish makes the published
-     * ring equal the live one.
+     * readers. Called by the kernel at every parallel sync window
+     * start, only for a TimedFifo counter whose fifo's two ends sit in
+     * different domains, and on the thread that runs the domain
+     * writing the counter. Commits write only the newest slot (an
+     * append, or a same-cycle update in place), so copying the slots
+     * written since the last publish makes the published ring equal
+     * the live one.
      */
     void
     publish()
@@ -233,6 +234,7 @@ class EpochCounter final : public StateBase
     void
     write(uint64_t v)
     {
+        kernel_.checkWriteDomain(this); // first (see Reg::write)
         if (stagedValid_)
             kfault(FaultKind::DesignError, name(),
                    "double write within one rule");
@@ -334,14 +336,17 @@ class EpochCounter final : public StateBase
     uint64_t floor_;    ///< value before the oldest retained record
     uint64_t pos_ = 0;  ///< ring index of the oldest record
     uint64_t count_ = 0;
-    uint64_t pubCur_;
+    std::vector<Entry> hist_;
+    /// newest hist_ slots written since the last publish()
+    uint64_t unpublished_ = 0;
+    // The published batch, which the other side's domain reads during
+    // a window, on its own cache line: the owner's commits to the
+    // live fields above never invalidate it.
+    alignas(detail::kCacheLine) uint64_t pubCur_;
     uint64_t pubFloor_;
     uint64_t pubPos_ = 0;
     uint64_t pubCount_ = 0;
-    std::vector<Entry> hist_;
-    std::vector<Entry> pubHist_; ///< barrier-latched batch copy
-    /// newest hist_ slots written since the last publish()
-    uint64_t unpublished_ = 0;
+    std::vector<Entry> pubHist_; ///< window-start batch copy
 };
 
 /**
@@ -403,13 +408,13 @@ class RegArray final : public StateBase
     void
     write(size_t idx, const T &v)
     {
+        kernel_.checkWriteDomain(this); // first (see Reg::write)
         checkIdx(idx);
         for (const auto &w : staged_) {
             if (w.first == idx)
                 kfault(FaultKind::DesignError, name(),
                        "[%zu]: double write within one rule", idx);
         }
-        // Touch before staging (see Reg::write).
         if (staged_.empty())
             kernel_.noteStateTouched(this);
         staged_.emplace_back(idx, v);

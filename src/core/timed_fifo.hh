@@ -17,10 +17,11 @@
  * old shared read-modify-write `count` register would have needed a
  * cross-domain merge). Occupancy is the counter difference. The fifo
  * registers once with the kernel (Kernel::registerChannel), naming
- * both endpoints. When elaboration puts them in different domains the
- * kernel latches the two counters at every sync barrier (publish());
- * when they share a domain the fifo is sequential code inside it and
- * nothing is exchanged.
+ * both endpoints and both counters. When elaboration puts the ends in
+ * different domains, each counter is latched (EpochCounter::publish())
+ * at every sync window start by the thread that runs the domain
+ * writing it; when they share a domain the fifo is sequential code
+ * inside it and nothing is exchanged.
  *
  * Cross-side counter views under multi-cycle lookahead PDES (see
  * DESIGN.md "Multi-cycle lookahead PDES"): domains synchronize only
@@ -61,7 +62,12 @@ template <typename T>
 class TimedFifo : public ChannelPort
 {
   private:
-    struct EnqSide : Module
+    // Each side's modules and state start on their own cache lines
+    // (the side structs are line-aligned, so what follows each also
+    // starts a new line): under Parallel the two sides commit on
+    // different threads, and each polls the other's published
+    // counter every cycle.
+    struct alignas(detail::kCacheLine) EnqSide : Module
     {
         EnqSide(Kernel &k, const std::string &n)
             : Module(k, n, Conflict::C), enqM(this->method("enq"))
@@ -69,7 +75,7 @@ class TimedFifo : public ChannelPort
         }
         Method &enqM;
     };
-    struct DeqSide : Module
+    struct alignas(detail::kCacheLine) DeqSide : Module
     {
         DeqSide(Kernel &k, const std::string &n)
             : Module(k, n, Conflict::C), deqM(this->method("deq")),
@@ -99,7 +105,8 @@ class TimedFifo : public ChannelPort
           enqTotal_(kernel, name + ".enqTotal", delay < 1 ? 1 : delay, 0),
           deqTotal_(kernel, name + ".deqTotal", delay < 1 ? 1 : delay, 0)
     {
-        kernel.registerChannel(*this, enqSide_, deqSide_, &cross_);
+        kernel.registerChannel(*this, enqSide_, deqSide_, enqTotal_,
+                               deqTotal_, &cross_);
         data_.setDomainOwner(&enqSide_);
         ready_.setDomainOwner(&enqSide_);
         tail_.setDomainOwner(&enqSide_);
@@ -110,7 +117,7 @@ class TimedFifo : public ChannelPort
 
     ~TimedFifo() override { kernel_.unregisterChannel(this); }
 
-    // ---- ChannelPort (PDES exchange, fault injection, watchdog
+    // ---- ChannelPort (PDES lookahead, fault injection, watchdog
     // diagnostics). The fault actions run as between-cycle atomic
     // actions on the main context, so they obey rule atomicity and
     // are exempt from the cross-domain access checks.
@@ -119,15 +126,6 @@ class TimedFifo : public ChannelPort
     uint32_t channelCapacity() const override { return cap_; }
     /** Visibility delay in cycles — the PDES lookahead this cut buys. */
     uint32_t latency() const override { return delay_; }
-
-    /** Sync-barrier exchange: latch the two counters the other side
-     *  reads. Everything else is strictly side-local. */
-    void
-    publish() override
-    {
-        enqTotal_.publish();
-        deqTotal_.publish();
-    }
 
     /** Message-loss fault: silently discard the head element. */
     bool
@@ -307,15 +305,17 @@ class TimedFifo : public ChannelPort
     uint32_t delay_;
     uint32_t cap_;
     bool cross_ = false; ///< endpoints in different domains (post-elab)
-    RegArray<T> data_;
-    RegArray<uint64_t> ready_;
-    Reg<uint32_t> head_, tail_;
+    alignas(detail::kCacheLine) RegArray<T> data_;
+    alignas(detail::kCacheLine) RegArray<uint64_t> ready_;
+    alignas(detail::kCacheLine) Reg<uint32_t> head_;
+    alignas(detail::kCacheLine) Reg<uint32_t> tail_;
     /// monotonic totals; occupancy = difference. Each is written by
     /// exactly one side, which is what lets the sides commit
     /// domain-locally with no cross-domain merge. Epoch-stamped so
     /// credit views can be read as of `now - latency` under
     /// multi-cycle sync windows.
-    EpochCounter enqTotal_, deqTotal_;
+    alignas(detail::kCacheLine) EpochCounter enqTotal_;
+    alignas(detail::kCacheLine) EpochCounter deqTotal_;
 };
 
 } // namespace cmd

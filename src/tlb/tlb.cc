@@ -132,7 +132,11 @@ L1Tlb::ruleProcess()
         }
     }
     // A blocking TLB (RiscyOO-B) stalls the whole pipe on any miss.
-    require(cfg_.hitUnderMiss || !anyMiss);
+    // Nothing is written yet, so wait by retry(), not by a throw.
+    if (!cfg_.hitUnderMiss && anyMiss) {
+        retry();
+        return;
+    }
 
     int e = lookup(r.va);
     if (e >= 0) {
@@ -146,7 +150,10 @@ L1Tlb::ruleProcess()
         return;
     }
 
-    require(freeMiss >= 0);
+    if (freeMiss < 0) {
+        retry();
+        return;
+    }
     MissReg m;
     m.valid = true;
     m.ready = false;
@@ -382,9 +389,14 @@ void
 L2Tlb::ruleStart()
 {
     // Blocking config: no new activity while any walk is in flight.
+    // Each wait below comes before the first write: retry(), no throw.
     if (cfg_.maxWalks == 1) {
-        for (uint32_t i = 0; i < walks_.size(); i++)
-            require(!walks_.read(i).valid);
+        for (uint32_t i = 0; i < walks_.size(); i++) {
+            if (walks_.read(i).valid) {
+                retry();
+                return;
+            }
+        }
     }
 
     uint32_t start = rrClient_.read();
@@ -438,7 +450,7 @@ L2Tlb::ruleStart()
         misses_.inc();
         return;
     }
-    require(false); // nothing to do
+    retry(); // nothing to do
 }
 
 void

@@ -228,10 +228,10 @@ struct DomainSoup {
 } // namespace
 
 /**
- * The soup acceptance test: parallel execution at 1, 2 and 4 threads
- * is bit-identical, cycle by cycle, to the exhaustive reference, over
- * several seeds — and not vacuously (the partition really is
- * multi-domain and tokens really cross it).
+ * The soup acceptance test: parallel execution at 1 to 4 threads (3
+ * packs the 4 domains unevenly) is bit-identical, cycle by cycle, to
+ * the exhaustive reference, over several seeds — and not vacuously
+ * (the partition really is multi-domain and tokens really cross it).
  */
 TEST(Parallel, LockstepRandomSoups)
 {
@@ -251,7 +251,7 @@ TEST(Parallel, LockstepRandomSoups)
                 << "seed " << seed << " domain " << d;
         }
 
-        for (uint32_t threads : {1u, 2u, 4u}) {
+        for (uint32_t threads : {1u, 2u, 3u, 4u}) {
             DomainSoup par(seed, SchedulerKind::Parallel, threads);
             ASSERT_EQ(par.k.domainCount(), DomainSoup::kDomains)
                 << "seed " << seed;
@@ -269,7 +269,7 @@ TEST(Parallel, LockstepRandomSoups)
 /**
  * Multi-cycle lookahead PDES acceptance: parallel execution under
  * sync windows wider than one cycle — lookahead caps {1, 2, 8} x
- * threads {1, 2, 4} — stays bit-identical to the exhaustive
+ * threads {1, 2, 3, 4} — stays bit-identical to the exhaustive
  * reference at every window-aligned observation point, and the
  * barrier count really drops by the window width.
  *
@@ -290,7 +290,7 @@ TEST(Parallel, WindowedLookaheadCosim)
             exDigests.push_back(digest(ex.k.snapshot()));
         }
 
-        for (uint32_t threads : {1u, 2u, 4u}) {
+        for (uint32_t threads : {1u, 2u, 3u, 4u}) {
             for (uint32_t la : {1u, 2u, 8u}) {
                 DomainSoup par(seed, SchedulerKind::Parallel, threads, 2);
                 par.k.setLookahead(la);
@@ -316,6 +316,165 @@ TEST(Parallel, WindowedLookaheadCosim)
                     << " lookahead " << la;
             }
         }
+    }
+}
+
+/**
+ * Per-domain sync wait is the idle time of the thread that runs the
+ * domain: every domain a thread runs is charged the same wait, from
+ * the finish of the thread's last domain to the barrier release, no
+ * matter in which order the thread ran them.
+ */
+TEST(Parallel, SyncWaitIsChargedPerThread)
+{
+    for (uint32_t threads : {1u, 2u}) {
+        DomainSoup par(5u, SchedulerKind::Parallel, threads);
+        ASSERT_TRUE(par.k.parallelActive());
+        par.k.run(400);
+        KernelReport rep = par.k.report();
+        ASSERT_EQ(rep.threads, threads);
+        ASSERT_EQ(rep.domainLines.size(), DomainSoup::kDomains);
+        // Thread t runs domains t, t + T, ...: each shares the wait of
+        // the thread's first domain.
+        for (uint32_t d = threads; d < DomainSoup::kDomains; d++) {
+            EXPECT_EQ(rep.domainLines[d].syncWaitNs,
+                      rep.domainLines[d % threads].syncWaitNs)
+                << threads << " threads, domain " << d;
+        }
+    }
+}
+
+namespace {
+
+/**
+ * Two domains joined by a TimedFifo: "left" produces tokens, "right"
+ * consumes them into its own register and owns a module with a method
+ * no rule of "left" declares. The producer takes one illegal route
+ * into "right" once its counter reaches kTrigger, after staging
+ * writes of its own; Leg::None is the decoupled design.
+ */
+struct CrossPair {
+    enum class Leg { None, BodyRead, GuardRead, Write, Call };
+    static constexpr uint64_t kTrigger = 20;
+
+    struct Sink : Module
+    {
+        explicit Sink(Kernel &k)
+            : Module(k, "sink"), pokeM(method("poke")), r(k, "sink.r")
+        {
+        }
+        void
+        poke()
+        {
+            pokeM();
+            r.write(r.read() + 1);
+        }
+        Method &pokeM;
+        Reg<uint64_t> r;
+    };
+
+    Kernel k;
+    TimedFifo<uint64_t> q{k, "q", 4, 2};
+    std::unique_ptr<Reg<uint64_t>> a, b;
+    std::unique_ptr<Sink> sink;
+
+    explicit CrossPair(Leg leg)
+    {
+        {
+            DomainHint hl(k, "left");
+            a = std::make_unique<Reg<uint64_t>>(k, "a", 0);
+            k.rule("produce", [this, leg] {
+                 uint64_t v = a->read();
+                 a->write(v + 1);
+                 q.enq(v);
+                 if (v != kTrigger)
+                     return;
+                 if (leg == Leg::BodyRead)
+                     (void)b->read();
+                 else if (leg == Leg::Write)
+                     b->write(0);
+                 else if (leg == Leg::Call)
+                     sink->poke();
+             })
+                .when([this, leg] {
+                    // A guard-read leg reads "right" only at the
+                    // trigger, so the run commits up to it first.
+                    if (leg == Leg::GuardRead && a->read() == kTrigger)
+                        return b->read() != ~0ull;
+                    return q.canEnq();
+                })
+                .uses({&q.enqM});
+        }
+        {
+            DomainHint hr(k, "right");
+            b = std::make_unique<Reg<uint64_t>>(k, "b", 0);
+            sink = std::make_unique<Sink>(k);
+            k.rule("consume", [this] { b->write(b->read() + q.deq()); })
+                .when([this] { return q.canDeq(); })
+                .uses({&q.deqM});
+            k.rule("tick", [this] { sink->poke(); }).uses({&sink->pokeM});
+        }
+        k.setParallelThreads(2);
+        k.setScheduler(SchedulerKind::Parallel);
+        k.elaborate();
+    }
+};
+
+} // namespace
+
+/**
+ * Every route by which a rule of one domain can reach another
+ * domain's state at run time raises KernelFault{CrossDomain} under
+ * Parallel, and the faulting rule's staged writes are rolled back:
+ * its own counter stays at the trigger value, and draining the fifo
+ * afterwards yields exactly the tokens committed before the fault.
+ * The body-read leg runs after a passing when(), where the read check
+ * is the inline domain compare in StateBase::noteRead().
+ */
+TEST(Parallel, CrossDomainAccessFaults)
+{
+    using Leg = CrossPair::Leg;
+    {
+        CrossPair clean(Leg::None);
+        ASSERT_EQ(clean.k.domainCount(), 2u);
+        ASSERT_TRUE(clean.k.parallelActive());
+        clean.k.run(200);
+        EXPECT_GT(clean.a->read(), CrossPair::kTrigger);
+        EXPECT_GT(clean.b->read(), 0u);
+    }
+    const std::pair<Leg, const char *> legs[] = {
+        {Leg::BodyRead, "b"},
+        {Leg::GuardRead, "b"},
+        {Leg::Write, "b"},
+        {Leg::Call, "sink.poke"},
+    };
+    for (const auto &[leg, culprit] : legs) {
+        SCOPED_TRACE(int(leg));
+        CrossPair p(leg);
+        ASSERT_EQ(p.k.domainCount(), 2u);
+        try {
+            p.k.run(200);
+            ADD_FAILURE() << "cross-domain access ran clean";
+        } catch (const KernelFault &f) {
+            EXPECT_EQ(f.kind(), FaultKind::CrossDomain) << f.what();
+            EXPECT_EQ(f.context().module, culprit) << f.what();
+            // A when() guard runs before the rule's transaction opens.
+            if (leg != Leg::GuardRead) {
+                EXPECT_EQ(f.context().rule, "produce") << f.what();
+            }
+        }
+        EXPECT_FALSE(p.k.inRule());
+        // The staged a + 1 is gone...
+        EXPECT_EQ(p.a->read(), CrossPair::kTrigger);
+        // ...and so is the staged enqueue of kTrigger: with the
+        // producer off, the consumer drains exactly 0 + 1 + ... +
+        // (kTrigger - 1).
+        p.k.rules()[0]->setEnabled(false);
+        p.k.setScheduler(SchedulerKind::EventDriven);
+        p.k.run(50);
+        EXPECT_EQ(p.q.size(), 0u);
+        EXPECT_EQ(p.b->read(),
+                  CrossPair::kTrigger * (CrossPair::kTrigger - 1) / 2);
     }
 }
 
@@ -390,8 +549,9 @@ TEST(Parallel, SwitchingSchedulersMidRun)
 
 /**
  * The full-system acceptance test: the quad-core TSO system partitions
- * into cores + memory = 5 domains, and a parallel 4-thread replay of a
- * fixed cycle window is bit-identical to the exhaustive run.
+ * into cores + memory = 5 domains, and parallel 4- and 3-thread
+ * replays of a fixed cycle window (3 threads pack the 5 domains
+ * unevenly: 2 + 2 + 1) are bit-identical to the exhaustive run.
  *
  * One System instance is rewound and replayed (cross-instance digest
  * comparison is invalid — struct padding; see test_scheduler.cc). The
@@ -462,21 +622,27 @@ TEST(Parallel, QuadCoreSystemReplay)
         EXPECT_GT(sys.instret(i), 100u) << "hart " << i << " barely ran";
     }
 
-    sys.kernel().restore(snap0);
-    sys.kernel().setParallelThreads(4);
-    sys.kernel().setScheduler(cmd::SchedulerKind::Parallel);
-    ASSERT_EQ(sys.kernel().domainCount(), cfg.cores + 1);
-    ASSERT_TRUE(sys.kernel().parallelActive());
-    for (uint64_t c = 0; c < kTotal; c += kChunk) {
-        sys.kernel().run(kChunk);
-        ASSERT_EQ(exDigests[c / kChunk], digest(sys.kernel().snapshot()))
-            << "parallel diverged by cycle " << c + kChunk;
+    for (uint32_t threads : {4u, 3u}) {
+        sys.kernel().restore(snap0);
+        sys.kernel().setParallelThreads(threads);
+        sys.kernel().setScheduler(cmd::SchedulerKind::Parallel);
+        ASSERT_EQ(sys.kernel().domainCount(), cfg.cores + 1);
+        ASSERT_TRUE(sys.kernel().parallelActive());
+        for (uint64_t c = 0; c < kTotal; c += kChunk) {
+            sys.kernel().run(kChunk);
+            ASSERT_EQ(exDigests[c / kChunk],
+                      digest(sys.kernel().snapshot()))
+                << threads << " threads: parallel diverged by cycle "
+                << c + kChunk;
+        }
+        // instret is architectural state inside the snapshot, so the
+        // restore rewound it; the replay must land on exactly the
+        // exhaustive run's retirement count.
+        for (uint32_t i = 0; i < cfg.cores; i++) {
+            EXPECT_EQ(sys.instret(i), exInstret[i])
+                << threads << " threads, hart " << i;
+        }
     }
-    // instret is architectural state inside the snapshot, so the
-    // restore rewound it; the replay must land on exactly the
-    // exhaustive run's retirement count.
-    for (uint32_t i = 0; i < cfg.cores; i++)
-        EXPECT_EQ(sys.instret(i), exInstret[i]) << "hart " << i;
 }
 
 /**
