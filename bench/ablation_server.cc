@@ -12,7 +12,9 @@
  * Each sweep row reports throughput, latency percentiles, queue
  * depths, DramCtl row-hit-rate / per-bank load balance / occupancy,
  * and the CPI split between L2-hit and DRAM-bound D-misses
- * (d_miss vs d_miss_dram).
+ * (d_miss vs d_miss_dram), plus the host time spent constructing and
+ * elaborating its system. One extra entry constructs and elaborates
+ * serverConfig(64, 4) without running it: elaboration cost at scale.
  *
  * Gates (--ci):
  *   g1 service     every sweep run completes every offered request,
@@ -81,10 +83,25 @@ kvConfigFor(uint32_t cores, double load, uint32_t requests)
     return kc;
 }
 
+/** Host cost of building one system: construction and elaboration. */
+struct BuildCost {
+    double constructMs = 0, elaborateMs = 0;
+    uint64_t rules = 0;
+
+    void
+    put(JsonObject &o) const
+    {
+        o.put("construct_ms", constructMs)
+            .put("elaborate_ms", elaborateMs)
+            .put("rules", rules);
+    }
+};
+
 /** One offered-load point: fresh system, run to drain, full stats. */
 struct SweepRow {
     std::string config;
     uint32_t cores = 0, banks = 0;
+    BuildCost build;
     double load = 0; ///< offered req / kilocycle (aggregate)
     server::KvSummary s;
     bool ok = false; ///< drained, verified, clean exits
@@ -103,7 +120,9 @@ runSweepPoint(uint32_t cores, uint32_t banks, double load,
     SystemConfig cfg = SystemConfig::serverConfig(cores, banks);
     cfg.scheduler = cmd::SchedulerKind::EventDriven;
     cfg.obs.cpi = true;
+    uint64_t c0 = nowNs();
     System sys(cfg);
+    uint64_t c1 = nowNs();
 
     server::KvConfig kc = kvConfigFor(cores, load, requests);
     server::KvHost kv(kc);
@@ -113,7 +132,9 @@ runSweepPoint(uint32_t cores, uint32_t banks, double load,
     asmkit::Assembler a(kEntry);
     server::emitKvWorker(a, kc);
     a.load(sys.mem(), kEntry);
+    uint64_t e0 = nowNs();
     sys.elaborate();
+    uint64_t e1 = nowNs();
     sys.start(kEntry, 0, stacks(cores));
 
     uint64_t t0 = nowNs();
@@ -124,6 +145,8 @@ runSweepPoint(uint32_t cores, uint32_t banks, double load,
     r.config = cfg.name;
     r.cores = cores;
     r.banks = banks;
+    r.build = {double(c1 - c0) * 1e-6, double(e1 - e0) * 1e-6,
+               sys.kernel().rules().size()};
     r.load = load;
     r.s = kv.summarize();
     r.cycles = sys.kernel().cycleCount();
@@ -159,6 +182,20 @@ runSweepPoint(uint32_t cores, uint32_t banks, double load,
         }
     }
     return r;
+}
+
+/** Construct and elaborate a serverConfig system; nothing runs. */
+BuildCost
+buildOnly(uint32_t cores, uint32_t banks)
+{
+    SystemConfig cfg = SystemConfig::serverConfig(cores, banks);
+    uint64_t c0 = nowNs();
+    System sys(cfg);
+    uint64_t c1 = nowNs();
+    sys.elaborate();
+    uint64_t c2 = nowNs();
+    return {double(c1 - c0) * 1e-6, double(c2 - c1) * 1e-6,
+            sys.kernel().rules().size()};
 }
 
 } // namespace
@@ -306,7 +343,25 @@ main(int argc, char **argv)
             .put("cpi_d_miss", r.cpiDMiss)
             .put("cpi_d_miss_dram", r.cpiDMissDram)
             .put("cpi_cycles", r.cpiCycles);
+        r.build.put(o);
         putSimSpeed(o, r.cycles, r.wallNs);
+        out.push_back(std::move(o));
+    }
+
+    // Elaboration at scale: serverConfig(64, 4), built but not run.
+    {
+        const uint32_t cores = 64, banks = 4;
+        BuildCost b = buildOnly(cores, banks);
+        std::printf("\n== server-%uc%ub: construct %.1f ms, elaborate "
+                    "%.1f ms, %llu rules (not run) ==\n",
+                    cores, banks, b.constructMs, b.elaborateMs,
+                    (unsigned long long)b.rules);
+        JsonObject o;
+        o.put("config", SystemConfig::serverConfig(cores, banks).name)
+            .put("cores", cores)
+            .put("banks", banks)
+            .put("run", false);
+        b.put(o);
         out.push_back(std::move(o));
     }
     bool wrote = writeBenchJson("server", jcfg, out);

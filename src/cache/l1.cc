@@ -557,10 +557,14 @@ L1Cache::ruleFromParent()
             uint32_t sl = slot(setOf(m.line), way);
             uint8_t st = state_.read(sl);
             if (st > static_cast<uint8_t>(m.state)) {
-                require(!lockedSt_.read(sl));
+                // Wait out a locked line and an in-progress drain:
+                // never downgrade under either.
                 int mi = findMshr(m.line);
-                // Never downgrade under an in-progress drain.
-                require(!(mi >= 0 && mshr_.read(mi).phase == 1));
+                if (lockedSt_.read(sl) ||
+                    (mi >= 0 && mshr_.read(mi).phase == 1)) {
+                    cmd::retry();
+                    return;
+                }
                 ack.newState = m.state;
                 ack.hasData = st == static_cast<uint8_t>(Msi::M);
                 if (ack.hasData)

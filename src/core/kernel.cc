@@ -7,7 +7,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <numeric>
-#include <set>
 #include <sstream>
 
 namespace cmd {
@@ -215,8 +214,20 @@ StateBase::~StateBase()
 // ------------------------------------------------------------------- Method
 
 Method::Method(Module &owner, std::string name, uint32_t localIdx)
-    : owner_(owner), name_(std::move(name)), localIdx_(localIdx)
+    : owner_(owner), name_(std::move(name)), localIdx_(localIdx),
+      ownerId_(owner.id_)
 {
+}
+
+void
+Method::addDeclarer(uint32_t ruleId)
+{
+    if (declared_[0] == kNoRule)
+        declared_[0] = ruleId;
+    else if (declared_[1] == kNoRule)
+        declared_[1] = ruleId;
+    else
+        declaredMore_.push_back(ruleId);
 }
 
 std::string
@@ -433,6 +444,7 @@ Kernel::registerModule(Module *m)
     if (elaborated_)
         kfault(FaultKind::ApiMisuse, m->name(),
                "module created after elaboration");
+    m->id_ = static_cast<uint32_t>(modules_.size());
     m->hintGroup_ = hintStack_.back();
     modules_.push_back(m);
 }
@@ -524,8 +536,7 @@ Kernel::onMethodCall(const Method &m)
 
     // Declaration check (the "compiler" check): a named rule may only
     // call methods in its declared closure.
-    if (c->currentRule && !m.usedByRule_.empty() &&
-        !m.usedByRule_[c->currentRule->id_]) {
+    if (c->currentRule && !m.declaredBy(c->currentRule->id_)) {
         kfault(FaultKind::DesignError, m.fullName(),
                "called by a rule that did not declare it (add it to uses())");
     }
@@ -1143,38 +1154,63 @@ Kernel::runUntil(const std::function<bool()> &done, uint64_t maxCycles)
 
 // -------------------------------------------------------------- elaboration
 
+namespace {
+
+// Rule-relation bits: some method pair of the two rules is C, <, >.
+constexpr uint8_t kRelC = 1, kRelLt = 2, kRelGt = 4;
+
 Conflict
-Kernel::computeRuleRelation(const Rule &a, const Rule &b) const
+relationOf(uint8_t bits)
 {
-    bool anyC = false, anyLt = false, anyGt = false;
-    for (const auto &[ma, pa] : a.closure_) {
-        for (const auto &[mb, pb] : b.closure_) {
-            if (&ma->owner() != &mb->owner())
-                continue;
+    if ((bits & kRelC) || (bits & (kRelLt | kRelGt)) == (kRelLt | kRelGt))
+        return Conflict::C;
+    if (bits & kRelLt)
+        return Conflict::LT;
+    if (bits & kRelGt)
+        return Conflict::GT;
+    return Conflict::CF;
+}
+
+/** End of the run of entries of @p c's module that starts at @p i. */
+size_t
+moduleRunEnd(const std::vector<std::pair<const Method *, const Method *>> &c,
+             size_t i)
+{
+    size_t e = i + 1;
+    while (e < c.size() && &c[e].first->owner() == &c[i].first->owner())
+        e++;
+    return e;
+}
+
+} // namespace
+
+uint8_t
+Kernel::moduleRelation(const ClosureEntry *a0, const ClosureEntry *a1,
+                       const ClosureEntry *b0, const ClosureEntry *b1)
+{
+    uint8_t bits = 0;
+    for (const ClosureEntry *ea = a0; ea != a1; ea++) {
+        const auto &[ma, pa] = *ea;
+        for (const ClosureEntry *eb = b0; eb != b1; eb++) {
+            const auto &[mb, pb] = *eb;
             // A pair reached through two parent methods of one module
             // is governed by the parent's own CM entry (which the
-            // outer loops also visit directly); skip the shadowed
-            // submodule pair. See Method::subcalls().
+            // walk also visits directly); skip the shadowed submodule
+            // pair. See Method::subcalls().
             bool viaSubcall = pa != ma || pb != mb;
             if (viaSubcall && &pa->owner() == &pb->owner())
                 continue;
             // CM(ma, mb), read back from the method masks.
             uint64_t aBit = 1ull << ma->localIndex();
             if (mb->intraConflictMask_ & aBit)
-                anyC = true;
+                bits |= kRelC;
             else if (mb->illegalBeforeMask_ & aBit)
-                anyGt = true;
+                bits |= kRelGt;
             else if (ma->illegalBeforeMask_ & (1ull << mb->localIndex()))
-                anyLt = true;
+                bits |= kRelLt;
         }
     }
-    if (anyC || (anyLt && anyGt))
-        return Conflict::C;
-    if (anyLt)
-        return Conflict::LT;
-    if (anyGt)
-        return Conflict::GT;
-    return Conflict::CF;
+    return bits;
 }
 
 void
@@ -1336,53 +1372,110 @@ Kernel::elaborate()
         kfault(FaultKind::ApiMisuse, "kernel",
                "elaborate() inside an open DomainHint scope");
 
-    // Assign rule ids and compute transitive method closures.
+    // Assign rule ids and compute transitive method closures: one walk
+    // per declared method, whose stamp ends subcall cycles and repeated
+    // subcall paths. Each closure is then sorted by owner module id
+    // (method, then ancestor, within a module), which also drops the
+    // pairs a method declared twice repeats, and each of its methods
+    // lists the rule (ascending, since rules go in id order).
     uint32_t nRules = static_cast<uint32_t>(rules_.size());
     for (uint32_t i = 0; i < nRules; i++)
         rulePtrs_[i]->id_ = i;
+    auto key = [](const ClosureEntry &e) {
+        auto id = [](const Method *m) {
+            return (uint64_t(m->ownerId_) << 32) | m->localIdx_;
+        };
+        return std::pair(id(e.first), id(e.second));
+    };
+    std::vector<const Method *> work;
+    uint32_t stamp = 0;
     for (Rule *r : rulePtrs_) {
-        std::vector<std::pair<const Method *, const Method *>> work;
-        for (const Method *m : r->uses_)
-            work.emplace_back(m, m);
-        r->closure_.clear();
-        // Set-based dedup: the linear re-scan of closure_ this
-        // replaces made elaboration quadratic in closure size for
-        // large multicore configs.
-        std::set<std::pair<const Method *, const Method *>> seen;
-        while (!work.empty()) {
-            auto [m, anc] = work.back();
-            work.pop_back();
-            if (!seen.insert({m, anc}).second)
-                continue;
-            r->closure_.push_back({m, anc});
-            for (const Method *s : m->subcalls_)
-                work.emplace_back(s, anc);
+        auto &c = r->closure_;
+        c.clear();
+        for (const Method *anc : r->uses_) {
+            stamp++;
+            work.assign(1, anc);
+            while (!work.empty()) {
+                const Method *m = work.back();
+                work.pop_back();
+                if (m->visitMark_ == stamp)
+                    continue;
+                m->visitMark_ = stamp;
+                c.push_back({m, anc});
+                work.insert(work.end(), m->subcalls_.begin(),
+                            m->subcalls_.end());
+            }
+        }
+        std::sort(c.begin(), c.end(),
+                  [&](const ClosureEntry &x, const ClosureEntry &y) {
+                      return key(x) < key(y);
+                  });
+        c.erase(std::unique(c.begin(), c.end()), c.end());
+        for (size_t i = 0; i < c.size(); i++) {
+            if (i == 0 || c[i].first != c[i - 1].first)
+                const_cast<Method *>(c[i].first)->addDeclarer(r->id_);
         }
     }
 
-    // Fill the per-method declaration bitmaps.
-    for (Module *mod : modules_) {
-        for (Method &m : mod->methods_)
-            m.usedByRule_.assign(nRules, false);
-    }
-    for (Rule *r : rulePtrs_) {
-        for (const auto &[m, anc] : r->closure_)
-            const_cast<Method *>(m)->usedByRule_[r->id_] = true;
-    }
-
-    // The rule-level "<" precedence graph.
+    // The rule-level "<" precedence graph. A pair that shares no
+    // module is CF, so only pairs that meet in some module are
+    // compared, and only on that module's entries; relation bits
+    // accumulate per partner over every module the pair shares.
     std::vector<std::vector<uint32_t>> succ(nRules);
     std::vector<uint32_t> indeg(nRules, 0);
-    for (uint32_t i = 0; i < nRules; i++) {
-        for (uint32_t j = i + 1; j < nRules; j++) {
-            Conflict rel = computeRuleRelation(*rulePtrs_[i], *rulePtrs_[j]);
-            if (rel == Conflict::LT) {
-                succ[i].push_back(j);
-                indeg[j]++;
-            } else if (rel == Conflict::GT) {
-                succ[j].push_back(i);
-                indeg[i]++;
+    {
+        // Module -> rules index (freed at the end of this block): for
+        // each module, the rules whose closure reaches it, in id order,
+        // each with the run of its closure entries for that module.
+        struct Reach {
+            uint32_t rule, begin, end;
+        };
+        std::vector<std::vector<Reach>> reach(modules_.size());
+        for (Rule *r : rulePtrs_) {
+            const auto &c = r->closure_;
+            for (size_t i = 0; i < c.size();) {
+                size_t e = moduleRunEnd(c, i);
+                reach[c[i].first->ownerId_].push_back(
+                    {r->id_, uint32_t(i), uint32_t(e)});
+                i = e;
             }
+        }
+        // Rules are visited in id order, so rule i's entry in a reach
+        // list sits at that list's cursor; its partners follow it.
+        std::vector<uint32_t> cursor(modules_.size(), 0);
+        std::vector<uint8_t> bits(nRules, 0);
+        std::vector<uint32_t> partners;
+        for (uint32_t i = 0; i < nRules; i++) {
+            const auto &ca = rulePtrs_[i]->closure_;
+            for (size_t run = 0; run < ca.size();) {
+                size_t runEnd = moduleRunEnd(ca, run);
+                uint32_t mod = ca[run].first->ownerId_;
+                const std::vector<Reach> &list = reach[mod];
+                for (size_t t = ++cursor[mod]; t < list.size(); t++) {
+                    const Reach &b = list[t];
+                    const ClosureEntry *cb =
+                        rulePtrs_[b.rule]->closure_.data();
+                    uint8_t rel =
+                        moduleRelation(&ca[run], ca.data() + runEnd,
+                                       cb + b.begin, cb + b.end);
+                    if (rel && !bits[b.rule])
+                        partners.push_back(b.rule);
+                    bits[b.rule] |= rel;
+                }
+                run = runEnd;
+            }
+            for (uint32_t j : partners) {
+                Conflict rel = relationOf(bits[j]);
+                bits[j] = 0;
+                if (rel == Conflict::LT) {
+                    succ[i].push_back(j);
+                    indeg[j]++;
+                } else if (rel == Conflict::GT) {
+                    succ[j].push_back(i);
+                    indeg[i]++;
+                }
+            }
+            partners.clear();
         }
     }
 
@@ -1443,7 +1536,25 @@ Kernel::ruleRelation(const Rule &a, const Rule &b) const
     if (!elaborated_)
         kfault(FaultKind::ApiMisuse, "kernel",
                "ruleRelation() before elaboration");
-    return computeRuleRelation(a, b);
+    // Both closures are sorted by owner module id: merge them and
+    // compare only the runs of modules both rules reach.
+    const auto &ca = a.closure_, &cb = b.closure_;
+    uint8_t bits = 0;
+    for (size_t i = 0, j = 0; i < ca.size() && j < cb.size();) {
+        uint32_t ma = ca[i].first->ownerId_, mb = cb[j].first->ownerId_;
+        if (ma < mb) {
+            i++;
+        } else if (mb < ma) {
+            j++;
+        } else {
+            size_t ie = moduleRunEnd(ca, i), je = moduleRunEnd(cb, j);
+            bits |= moduleRelation(&ca[i], ca.data() + ie, &cb[j],
+                                   cb.data() + je);
+            i = ie;
+            j = je;
+        }
+    }
+    return relationOf(bits);
 }
 
 // ----------------------------------------------------------- hardening hooks

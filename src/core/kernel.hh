@@ -54,8 +54,8 @@
  * rule/module/state coupling graph, where edges that pass exclusively
  * through a TimedFifo are cut (the FIFO's latency is the PDES
  * lookahead). Cross-domain rule pairs are provably conflict-free —
- * computeRuleRelation() only produces C/</> for method pairs of one
- * module, and a shared module would have merged the two domains — so
+ * ruleRelation() only produces C/</> for method pairs of one module,
+ * and a shared module would have merged the two domains — so
  * domains may execute concurrently within a cycle without changing the
  * one-rule-at-a-time semantics, provided every cross-domain *read*
  * observes only start-of-cycle values. TimedFifo endpoints guarantee
@@ -65,6 +65,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <condition_variable>
@@ -690,9 +691,23 @@ class Method
 
     Method(Module &owner, std::string name, uint32_t localIdx);
 
+    /** True if rule @p ruleId's closure holds this method. */
+    bool
+    declaredBy(uint32_t ruleId) const
+    {
+        if (declared_[0] == ruleId || declared_[1] == ruleId)
+            return true;
+        return !declaredMore_.empty() &&
+               std::binary_search(declaredMore_.begin(),
+                                  declaredMore_.end(), ruleId);
+    }
+    /** Append @p ruleId (larger than every id already listed). */
+    void addDeclarer(uint32_t ruleId);
+
     Module &owner_;
     std::string name_;
     uint32_t localIdx_;
+    uint32_t ownerId_; ///< owner_'s registration id (closure order)
     std::vector<const Method *> subcalls_;
 
     // The module CM, stored only here (written by Module::method()
@@ -704,8 +719,18 @@ class Method
     /// bits of same-module methods that may not be called by the same
     /// rule as this one (CM entry C).
     uint64_t intraConflictMask_ = 0;
-    /// per-rule declaration bitmap, indexed by rule id.
-    std::vector<bool> usedByRule_;
+
+    // Declaration lists, filled at elaboration: the ids of the rules
+    // whose closure holds this method, ascending. Most methods belong
+    // to one or two rules, so the first two ids are stored inline and
+    // onMethodCall's check is one or two compares; the rest are in
+    // declaredMore_ (binary-searched). A method no rule declares has
+    // empty lists, and any rule calling it faults.
+    static constexpr uint32_t kNoRule = ~0u;
+    uint32_t declared_[2] = {kNoRule, kNoRule};
+    std::vector<uint32_t> declaredMore_;
+    /// closure-walk stamp (elaboration-local)
+    mutable uint32_t visitMark_ = 0;
 };
 
 /**
@@ -785,6 +810,8 @@ class Module
     uint64_t ruleMask_ = 0;   ///< methods called by the rule in flight
     bool inRuleList_ = false; ///< registered on the kernel's touch list
 
+    uint32_t id_ = 0; ///< registration index in Kernel::modules_
+
     // Domain partitioning:
     uint32_t hintGroup_ = 0;    ///< hint group at construction
     bool boundarySide_ = false; ///< a TimedFifo endpoint (cut point)
@@ -860,7 +887,9 @@ class Rule
     std::function<void()> body_;
     std::function<bool()> guard_;
     std::vector<const Method *> uses_;
-    /// transitive method set as (method, declared ancestor) pairs
+    /// transitive method set as (method, declared ancestor) pairs,
+    /// sorted by the method's owner module id so that the entries of
+    /// one module are contiguous (see Kernel::ruleRelation())
     std::vector<std::pair<const Method *, const Method *>> closure_;
     bool enabled_ = true;
     uint32_t id_ = 0;
@@ -910,6 +939,13 @@ class Kernel
      * combinational cycle, and partition the design into domains.
      * Must be called exactly once, before the first cycle(). Throws
      * ElaborationError on design errors.
+     *
+     * The cost follows closure entries, not rules squared: two rules
+     * can only be ordered through a module both reach, so the "<" edges
+     * come from a module -> rules index (elaboration-local) that
+     * compares only rule pairs sharing a module, and only their entries
+     * of that module. Each method keeps the list of rules that declare
+     * it, for onMethodCall's declaration check.
      */
     void elaborate();
     bool elaborated() const { return elaborated_; }
@@ -1031,7 +1067,10 @@ class Kernel
      */
     bool runAtomically(const std::function<void()> &fn);
 
-    /** Rule-level CM entry, computed from the method masks. */
+    /**
+     * Rule-level CM entry of a before b, computed from the method
+     * masks over the entries of the modules both closures reach.
+     */
     Conflict ruleRelation(const Rule &a, const Rule &b) const;
 
     /** Rules in schedule order (valid after elaborate()). */
@@ -1204,8 +1243,15 @@ class Kernel
         return total;
     }
 
-    /** Compute the CM relation of rule a before rule b. */
-    Conflict computeRuleRelation(const Rule &a, const Rule &b) const;
+    using ClosureEntry = std::pair<const Method *, const Method *>;
+    /**
+     * Relation bits (kRelC/kRelLt/kRelGt in kernel.cc) of two rules'
+     * closure entries [a0, a1) and [b0, b1), all of one module.
+     */
+    static uint8_t moduleRelation(const ClosureEntry *a0,
+                                  const ClosureEntry *a1,
+                                  const ClosureEntry *b0,
+                                  const ClosureEntry *b1);
 
     std::vector<StateBase *> states_;
     std::vector<Module *> modules_;

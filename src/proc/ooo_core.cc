@@ -1373,6 +1373,12 @@ OooCore::doAddrCalc()
         return;
     }
 
+    // The translate path waits for room in the TLB request queue; the
+    // misaligned path above needs no TLB.
+    if (!dtlb_->canReq()) {
+        cmd::retry();
+        return;
+    }
     uint8_t id = memId(isLq, u.lsqIdx);
     if (inflight_.read(id).valid)
         panic("%s: inflight-mem slot %u busy", name_.c_str(), id);

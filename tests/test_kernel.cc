@@ -331,6 +331,9 @@ class Counter : public Module
 
     int value() const { return v_.read(); }
 
+    /** Let inc be called by any number of rules per cycle. */
+    void selfCfInc() { selfCf(incM); }
+
     Method &incM, &decM;
 
   private:
@@ -558,17 +561,71 @@ constexpr SchedulerKind kCheckedKinds[] = {SchedulerKind::Exhaustive,
                                            SchedulerKind::EventDriven,
                                            SchedulerKind::Parallel};
 
+/** A wrapper module whose method internally calls inner.inc. */
+class Wrapper : public Module
+{
+  public:
+    Wrapper(Kernel &k, Counter &inner)
+        : Module(k, "wrap"), inner_(inner), pokeM(method("poke"))
+    {
+        pokeM.subcalls({&inner.incM});
+    }
+
+    void
+    poke()
+    {
+        pokeM();
+        inner_.inc();
+    }
+
+    Counter &inner_;
+    Method &pokeM;
+};
+
 TEST(Cm, UndeclaredMethodCallIsDesignError)
 {
     for (SchedulerKind kind : kCheckedKinds) {
         SCOPED_TRACE(toString(kind));
-        Kernel k;
-        k.setScheduler(kind);
-        Counter c(k, "c", Conflict::CF);
-        k.rule("sneaky", [&] { c.inc(); }); // no uses() declaration
-        k.elaborate();
-        expectFault([&] { k.cycle(); }, FaultKind::DesignError,
-                    "did not declare");
+        {
+            Kernel k;
+            k.setScheduler(kind);
+            Counter c(k, "c", Conflict::CF);
+            k.rule("sneaky", [&] { c.inc(); }); // no uses() declaration
+            k.elaborate();
+            expectFault([&] { k.cycle(); }, FaultKind::DesignError,
+                        "did not declare");
+        }
+        {
+            // The check asks whether the calling rule declared the
+            // method, not whether some rule did: "a" declares c.inc
+            // and fires, then "b" calls it undeclared and faults.
+            Kernel k;
+            k.setScheduler(kind);
+            Counter c(k, "c", Conflict::CF);
+            c.selfCfInc(); // b must reach the check, not a CM block
+            Rule &a = k.rule("a", [&] { c.inc(); });
+            a.uses({&c.incM});
+            k.rule("b", [&] { c.inc(); });
+            k.elaborate();
+            expectFault([&] { k.cycle(); }, FaultKind::DesignError,
+                        "did not declare");
+            EXPECT_EQ(a.firedCount(), 1u);
+            EXPECT_EQ(c.value(), 1); // a committed, b rolled back
+        }
+        {
+            // A declared method's subcalls are in the closure: the
+            // rule may call inner.inc directly.
+            Kernel k;
+            k.setScheduler(kind);
+            Counter inner(k, "inner", Conflict::C);
+            Wrapper w(k, inner);
+            Rule &r = k.rule("direct", [&] { inner.inc(); });
+            r.uses({&w.pokeM});
+            k.elaborate();
+            k.cycle();
+            EXPECT_EQ(r.firedCount(), 1u);
+            EXPECT_EQ(inner.value(), 1);
+        }
     }
 }
 
@@ -594,27 +651,6 @@ TEST(Cm, SubcallsPropagateIntoRuleRelation)
 {
     Kernel k;
     Counter inner(k, "inner", Conflict::C);
-
-    // A wrapper module whose method internally calls inner.inc.
-    class Wrapper : public Module
-    {
-      public:
-        Wrapper(Kernel &k, Counter &inner)
-            : Module(k, "wrap"), inner_(inner), pokeM(method("poke"))
-        {
-            pokeM.subcalls({&inner.incM});
-        }
-
-        void
-        poke()
-        {
-            pokeM();
-            inner_.inc();
-        }
-
-        Counter &inner_;
-        Method &pokeM;
-    };
     Wrapper w(k, inner);
 
     Rule &r1 = k.rule("viaWrapper", [&] { w.poke(); });

@@ -436,4 +436,83 @@ TEST(Multicore, SixteenCoreBankedDigestCosim)
     EXPECT_EQ(sys.kernel().effectiveLookahead(), 4u);
 }
 
+/**
+ * Schedule-order digest: FNV-1a-64 over each rule name in schedule
+ * order, each name followed by one 0xff byte.
+ */
+uint64_t
+scheduleDigest(const cmd::Kernel &k)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint8_t b) {
+        h ^= b;
+        h *= 1099511628211ull;
+    };
+    for (const cmd::Rule *r : k.scheduleOrder()) {
+        for (char c : r->name())
+            mix(static_cast<uint8_t>(c));
+        mix(0xff);
+    }
+    return h;
+}
+
+TEST(Elaboration, ScheduleOrderIsPinned)
+{
+    // Values from the all-pairs rule walk that module-indexed
+    // elaboration replaced: the schedules must not move.
+    struct Case {
+        const char *name;
+        SystemConfig cfg;
+        uint64_t digest;
+    };
+    const Case cases[] = {
+        {"riscyooB", SystemConfig::riscyooB(), 0x3b1f9d78ec22b664ull},
+        {"riscyooTPlus", SystemConfig::riscyooTPlus(),
+         0x3b1f9d78ec22b664ull},
+        {"rocket(10)", SystemConfig::rocket(10), 0x7b852c99b57cbdeaull},
+        {"quad TSO", SystemConfig::multicore(true), 0xd0a37226af03f088ull},
+        {"quad WMM", SystemConfig::multicore(false), 0xbf26f2bf4d1cb1d8ull},
+        {"server-16c4b", SystemConfig::serverConfig(16, 4),
+         0x2f464d04cd7a12d0ull},
+        {"server-64c4b", SystemConfig::serverConfig(64, 4),
+         0x35dfdd1ec81cee88ull},
+    };
+    for (const Case &c : cases) {
+        System sys(c.cfg);
+        sys.elaborate();
+        EXPECT_EQ(scheduleDigest(sys.kernel()), c.digest) << c.name;
+    }
+}
+
+TEST(Elaboration, OrderedRulePairsFollowTheSchedule)
+{
+    // ruleRelation() on demand merges two closures; the elaborated
+    // "<" edges come from the module -> rules index. Every ordered
+    // pair must sit in the schedule in its CM order.
+    for (const SystemConfig &cfg :
+         {SystemConfig::multicore(true), SystemConfig::serverConfig(16, 4)}) {
+        SCOPED_TRACE(cfg.name);
+        System sys(cfg);
+        sys.elaborate();
+        const cmd::Kernel &k = sys.kernel();
+        const std::vector<cmd::Rule *> &rules = k.rules();
+        uint64_t ordered = 0, violations = 0;
+        for (size_t i = 0; i < rules.size(); i++) {
+            for (size_t j = i + 1; j < rules.size(); j++) {
+                const cmd::Rule &a = *rules[i], &b = *rules[j];
+                cmd::Conflict rel = k.ruleRelation(a, b);
+                if (rel == cmd::Conflict::LT) {
+                    ordered++;
+                    violations += a.schedPos() > b.schedPos();
+                } else if (rel == cmd::Conflict::GT) {
+                    ordered++;
+                    violations += a.schedPos() < b.schedPos();
+                }
+            }
+        }
+        EXPECT_GT(ordered, 0u);
+        EXPECT_EQ(violations, 0u);
+    }
+}
+
 } // namespace
